@@ -1887,7 +1887,7 @@ let load_cmd =
                    cfg.kinds)
           in
           let error_budget =
-            if Load.Engine.is_robust cfg then
+            if Load.Report.reports_faults cfg then
               Some (Load.Report.error_budget result)
             else None
           in
@@ -1929,16 +1929,22 @@ let load_cmd =
               Printf.printf "load: %d degradation gate(s), %d failed\n"
                 (List.length gs) degrade_failed
           | None -> ());
-          (match Load.Engine.stopped_shards result with
+          (match Load.Report.stopped_early report with
           | [] -> ()
-          | ids ->
-              Printf.eprintf
-                "load: shard%s %s stopped early at the step budget \
-                 (--max-steps %d)\n\
-                 %!"
-                (if List.length ids = 1 then "" else "s")
-                (String.concat "," (List.map string_of_int ids))
-                cfg.max_steps;
+          | groups ->
+              List.iter
+                (fun (cause, ids) ->
+                  Printf.eprintf "load: shard%s %s stopped early %s\n%!"
+                    (if List.length ids = 1 then "" else "s")
+                    (String.concat "," (List.map string_of_int ids))
+                    (match cause with
+                    | Load.Report.Outage ->
+                        "by a total outage (the fault plan crashes every \
+                         worker for good)"
+                    | Step_budget ->
+                        Printf.sprintf "at the step budget (--max-steps %d)"
+                          cfg.max_steps))
+                groups;
               exit 1);
           if degrade_failed > 0 then exit 1;
           if expect_pass && gates_failed > 0 then exit 1;
@@ -2004,7 +2010,7 @@ let serve_cmd =
                 open_out file)
               out
           in
-          let robust = Load.Engine.is_robust cfg in
+          let budgeted = Load.Report.reports_faults cfg in
           let ok_w = ref 0 and degraded_w = ref 0 and breached_w = ref 0 in
           let worst_burn = ref 0. in
           Pool.with_pool ~size:jobs (fun pool ->
@@ -2018,7 +2024,7 @@ let serve_cmd =
                   Printf.eprintf "[serve] window %d: %d request(s) in %.2fs\n%!"
                     w result.requests (now () -. t0);
                 let error_budget =
-                  if robust then begin
+                  if budgeted then begin
                     let eb =
                       Load.Report.error_budget ~target:slo_target result
                     in
@@ -2049,7 +2055,7 @@ let serve_cmd =
             out;
           (* Soak verdict, only for runs that can burn budget: window
              counts by health plus the worst burn rate seen. *)
-          if robust then
+          if budgeted then
             Printf.printf
               "serve: %d window(s): ok=%d degraded=%d breached=%d \
                worst-burn=%.2f\n"

@@ -55,9 +55,6 @@ let default =
     policy = Policy.default;
   }
 
-let is_robust cfg =
-  not (Fault_plan.spec_is_none cfg.faults && Policy.is_none cfg.policy)
-
 (* A base plan that permanently crashes every worker is a *total
    outage*: {!Fault_plan.validate} rejects it, but the service layer
    accepts it deliberately — each shard detects it and degrades to an
@@ -136,29 +133,29 @@ let stopped_shards r =
     (fun (s : shard_result) -> if s.stopped_early then Some s.shard else None)
     r.shards
 
-(* One queued request.  [kind] indexes the config's kind list; every
-   random draw it embodies came from its own (seed, client, k) RNG, so
-   the record is the same whichever simulation path built it.  [rid]
-   is the shard-local request id; [attempt] and [dup] only matter to
-   the fault-tolerant path (dup 0 = original arrival, 1 = retry or
-   crash redelivery, 2 = hedged duplicate). *)
+(* One dispatch of a request.  [rid] is the shard-local request id
+   [i * ops_per_client + k] for the shard's [i]-th client and its [k]-th
+   request, so the client, [k] and the structure kind all follow from
+   it; every random draw the record embodies came from that request's
+   own (seed, client, k) RNG.  [born] is the original arrival, which
+   latency is measured from; [arrival] is this copy's.  [dup] 0 = the
+   original arrival, 1 = a retry or crash redelivery, 2 = a hedged
+   duplicate. *)
 type req = {
-  client : int;
-  k : int;
-  kind : int;
+  rid : int;
   key : int;
   push : bool;
+  born : int;
   arrival : int;
-  rid : int;
   attempt : int;
   dup : int;
 }
 
-(* Host-level min-heap of future arrivals, keyed (arrival, client, k)
-   so ties break deterministically.  Bounded by one entry per client
-   plus outstanding retries/hedges: a session's next request is
-   scheduled only when its predecessor is dispatched (open loop) or
-   resolves (closed loop). *)
+(* Host-level min-heap of future arrivals, keyed (arrival, rid, dup) so
+   ties break deterministically; within a shard, [rid] orders as
+   (client, k).  Bounded by one entry per client plus outstanding
+   retries/hedges: a session's next request is scheduled only when its
+   predecessor is dispatched (open loop) or resolves (closed loop). *)
 module Rheap = struct
   type t = { mutable a : req array; mutable len : int; dummy : req }
 
@@ -167,9 +164,7 @@ module Rheap = struct
   let less x y =
     x.arrival < y.arrival
     || (x.arrival = y.arrival
-       && (x.client < y.client
-          || (x.client = y.client && (x.k < y.k || (x.k = y.k && x.dup < y.dup)))
-          ))
+       && (x.rid < y.rid || (x.rid = y.rid && x.dup < y.dup)))
 
   let push t r =
     if t.len = Array.length t.a then begin
@@ -277,6 +272,7 @@ let shard_plan cfg ~shard ~total =
 let run_shard cfg ~shard =
   let kinds = Array.of_list cfg.kinds in
   let nkinds = Array.length kinds in
+  let ops = cfg.ops_per_client in
   let latency = Hdr.create () in
   let service = Hdr.create () in
   let queue_wait = Hdr.create () in
@@ -286,38 +282,34 @@ let run_shard cfg ~shard =
     (cfg.clients / cfg.shards)
     + (if shard < cfg.clients mod cfg.shards then 1 else 0)
   in
-  let total = nclients * cfg.ops_per_client in
-  let empty_result ~steps ~stopped_early =
-    let requests = Hdr.count latency in
+  let total = nclients * ops in
+  let plan = shard_plan cfg ~shard ~total in
+  let result ~steps ~stopped_early ~max_queue_depth ~outcomes ~restarts
+      ~spurious_cas =
     {
       shard;
-      requests;
+      requests = Hdr.count latency;
       offered = total;
       steps;
-      max_queue_depth = 0;
+      max_queue_depth;
       stopped_early;
       latency;
       service;
       queue_wait;
       per_kind = List.mapi (fun i k -> (k, per_kind.(i))) cfg.kinds;
-      outcomes =
-        { Policy.zero_counts with ok = requests; dropped = total - requests };
-      restarts = 0;
-      spurious_cas = 0;
+      outcomes;
+      restarts;
+      spurious_cas;
     }
   in
-  if total = 0 then empty_result ~steps:0 ~stopped_early:false
+  if total = 0 || outage_plan ~workers:cfg.workers plan then
+    (* No request to serve, or a total outage where no worker ever
+       can: return without simulating, every offered request dropped
+       (and the shard stopped early unless it was empty). *)
+    result ~steps:0 ~stopped_early:(total > 0) ~max_queue_depth:0
+      ~outcomes:{ Policy.zero_counts with dropped = total }
+      ~restarts:0 ~spurious_cas:0
   else begin
-    let robust = is_robust cfg in
-    let plan = if robust then shard_plan cfg ~shard ~total else Fault_plan.none in
-    if robust && outage_plan ~workers:cfg.workers plan then
-      (* Total outage: nothing can ever serve.  Degrade without
-         simulating — every offered request is dropped. *)
-      {
-        (empty_result ~steps:0 ~stopped_early:true) with
-        outcomes = { Policy.zero_counts with dropped = total };
-      }
-    else begin
     let memory = Memory.create ~capacity:4096 () in
     let objsets =
       Array.map (build_objset memory ~workers:cfg.workers ~objects:cfg.objects)
@@ -325,13 +317,10 @@ let run_shard cfg ~shard =
     in
     let cdf = Workload.zipf_cdf ~alpha:cfg.alpha ~n:cfg.objects in
     let pol = cfg.policy in
-    (* Fault-tolerant bookkeeping, allocated only when active. *)
-    let status = if robust then Bytes.make total '\000' else Bytes.empty in
-    let attempt_cur = if robust then Array.make total 0 else [||] in
-    let first_arrival = if robust then Array.make total 0 else [||] in
-    let hedged =
-      if robust && pol.hedge_after <> None then Array.make total false else [||]
-    in
+    (* The attempt each request is on, or -1 once it resolved: a queued,
+       watched or in-flight copy whose attempt differs is stale. *)
+    let cur_attempt = Array.make total 0 in
+    let hedged = Bytes.make total '\000' in
     let resolved = ref 0 in
     let ok_c = ref 0 in
     let retried_c = ref 0 in
@@ -339,53 +328,40 @@ let run_shard cfg ~shard =
     let redelivered_c = ref 0 in
     let hedges_c = ref 0 in
     let timedout_c = ref 0 in
-    let dummy =
-      {
-        client = -1;
-        k = -1;
-        kind = 0;
-        key = 0;
-        push = false;
-        arrival = 0;
-        rid = -1;
-        attempt = 0;
-        dup = 0;
-      }
-    in
-    let req_store = if robust then Array.make total dummy else [||] in
-    let make_req ~client ~k ~base =
+    let make_req ~i ~k ~base =
+      let client = shard + (i * cfg.shards) in
       let rng = Workload.request_rng ~seed:cfg.seed ~client ~k in
       let g = Workload.gap cfg.mode rng ~k in
       let u = Stats.Rng.float rng 1.0 in
       let push = Stats.Rng.bool rng in
-      let rid = ((client / cfg.shards) * cfg.ops_per_client) + k in
-      let r =
-        {
-          client;
-          k;
-          kind = client / cfg.shards mod nkinds;
-          key = Workload.pick cdf u;
-          push;
-          arrival = base + g;
-          rid;
-          attempt = 0;
-          dup = 0;
-        }
-      in
-      if robust then begin
-        req_store.(rid) <- r;
-        first_arrival.(rid) <- r.arrival
-      end;
-      r
+      let arrival = base + g in
+      {
+        rid = (i * ops) + k;
+        key = Workload.pick cdf u;
+        push;
+        born = arrival;
+        arrival;
+        attempt = 0;
+        dup = 0;
+      }
+    in
+    let dummy =
+      {
+        rid = -1;
+        key = 0;
+        push = false;
+        born = 0;
+        arrival = 0;
+        attempt = 0;
+        dup = 0;
+      }
     in
     let pending = Rheap.create dummy in
     for i = 0 to nclients - 1 do
-      let client = shard + (i * cfg.shards) in
-      Rheap.push pending (make_req ~client ~k:0 ~base:0)
+      Rheap.push pending (make_req ~i ~k:0 ~base:0)
     done;
     let ready : req Queue.t = Queue.create () in
     let max_depth = ref 0 in
-    let served = ref 0 in
     let vref = ref 0 in
     let next_value () =
       incr vref;
@@ -393,14 +369,14 @@ let run_shard cfg ~shard =
     in
     let is_open = match cfg.mode with Workload.Open _ -> true | _ -> false in
     let schedule_next ~base r =
-      if r.k + 1 < cfg.ops_per_client then
-        Rheap.push pending (make_req ~client:r.client ~k:(r.k + 1) ~base)
+      let k = (r.rid mod ops) + 1 in
+      if k < ops then Rheap.push pending (make_req ~i:(r.rid / ops) ~k ~base)
     in
-    (* Deadline watch: FIFO of (rid, attempt, absolute deadline).
-       Entries are appended in drain order — non-decreasing arrival
-       times plus a constant deadline — so the queue is sorted and the
-       scan only ever inspects its head. *)
-    let watch : (int * int * int) Queue.t = Queue.create () in
+    (* Deadline watch: the watched copies in drain order.  That order
+       is non-decreasing in arrival time and the deadline is a constant
+       past it, so the queue is sorted by deadline and the scan only
+       ever inspects its head. *)
+    let watch : req Queue.t = Queue.create () in
     let drain now =
       let continue = ref true in
       while !continue do
@@ -411,79 +387,61 @@ let run_shard cfg ~shard =
                service, so it is scheduled as soon as this request
                reaches the queue (originals only — retries, hedges and
                redeliveries have no successor of their own). *)
-            if is_open && r.dup = 0 && r.attempt = 0 then
-              schedule_next ~base:r.arrival r;
-            (match pol.deadline with
-            | Some d when r.dup < 2 ->
-                Queue.add (r.rid, r.attempt, r.arrival + d) watch
-            | _ -> ());
+            if is_open && r.dup = 0 then schedule_next ~base:r.arrival r;
+            if pol.deadline <> None && r.dup < 2 then Queue.add r watch;
             Queue.add r ready;
             if Queue.length ready > !max_depth then
               max_depth := Queue.length ready
         | _ -> continue := false
       done
     in
-    let resolve_failure ~now rid =
-      Bytes.set status rid '\002';
-      incr timedout_c;
-      incr resolved;
-      if not is_open then schedule_next ~base:now req_store.(rid);
-      Program.complete ()
-    in
     (* Expired deadlines: retry with seeded backoff while budget
        remains, else resolve the request as timed out.  Runs inside
        whichever worker is scheduled, costs no simulated step. *)
-    let rec scan now =
+    let rec scan d now =
       match Queue.peek_opt watch with
-      | Some (rid, att, dl) when dl <= now ->
+      | Some r when r.arrival + d <= now ->
           ignore (Queue.pop watch);
-          if Bytes.get status rid = '\000' && attempt_cur.(rid) = att then begin
-            if att < pol.max_retries then begin
-              attempt_cur.(rid) <- att + 1;
+          if cur_attempt.(r.rid) = r.attempt then begin
+            if r.attempt < pol.max_retries then begin
+              let attempt = r.attempt + 1 in
+              cur_attempt.(r.rid) <- attempt;
               incr retries_c;
-              let b = Policy.backoff pol ~seed:cfg.seed ~rid ~attempt:(att + 1) in
-              Rheap.push pending
-                {
-                  req_store.(rid) with
-                  arrival = now + b;
-                  attempt = att + 1;
-                  dup = 1;
-                }
+              let b = Policy.backoff pol ~seed:cfg.seed ~rid:r.rid ~attempt in
+              Rheap.push pending { r with arrival = now + b; attempt; dup = 1 }
             end
-            else resolve_failure ~now rid
+            else begin
+              cur_attempt.(r.rid) <- -1;
+              incr timedout_c;
+              incr resolved;
+              if not is_open then schedule_next ~base:now r;
+              Program.complete ()
+            end
           end;
-          scan now
+          scan d now
       | _ -> ()
     in
-    (* Per-worker dispatch slots: which request (and attempt) each
-       worker currently holds, and since when.  Host-level state — a
-       crash drops the worker's continuation but not this record, which
-       is exactly what redelivery needs. *)
-    let inflight_rid = Array.make cfg.workers (-1) in
-    let inflight_attempt = Array.make cfg.workers 0 in
+    (* Per-worker dispatch slots: which request copy each worker
+       currently holds ([dummy] when none), and since when.  Host-level
+       state — a crash drops the worker's continuation but not this
+       record, which is exactly what redelivery needs. *)
+    let inflight = Array.make cfg.workers dummy in
     let inflight_since = Array.make cfg.workers 0 in
     (* Hedging: a request in flight for [h] steps without completing
        gets one duplicate dispatch — including around a crashed or
        stalled worker, which is the production use case. *)
     let hedge_scan h now =
       for w = 0 to cfg.workers - 1 do
-        let rid = inflight_rid.(w) in
+        let r = inflight.(w) in
         if
-          rid >= 0
-          && Bytes.get status rid = '\000'
-          && inflight_attempt.(w) = attempt_cur.(rid)
-          && (not hedged.(rid))
+          r.rid >= 0
+          && cur_attempt.(r.rid) = r.attempt
+          && Bytes.get hedged r.rid = '\000'
           && now - inflight_since.(w) >= h
         then begin
-          hedged.(rid) <- true;
+          Bytes.set hedged r.rid '\001';
           incr hedges_c;
-          Rheap.push pending
-            {
-              req_store.(rid) with
-              arrival = now;
-              attempt = attempt_cur.(rid);
-              dup = 2;
-            }
+          Rheap.push pending { r with arrival = now; dup = 2 }
         end
       done
     in
@@ -507,31 +465,20 @@ let run_shard cfg ~shard =
       d
     in
     let redeliver ~now ~w =
-      let rid = inflight_rid.(w) in
-      inflight_rid.(w) <- -1;
-      if
-        rid >= 0
-        && Bytes.get status rid = '\000'
-        && attempt_cur.(rid) = inflight_attempt.(w)
-      then begin
+      let r = inflight.(w) in
+      inflight.(w) <- dummy;
+      if r.rid >= 0 && cur_attempt.(r.rid) = r.attempt then begin
         incr redelivered_c;
-        Rheap.push pending
-          {
-            req_store.(rid) with
-            arrival = now;
-            attempt = inflight_attempt.(w);
-            dup = 1;
-          }
+        Rheap.push pending { r with arrival = now; dup = 1 }
       end
     in
     let rescue now =
       for w = 0 to cfg.workers - 1 do
-        if inflight_rid.(w) >= 0 && now >= dead_after.(w) then
-          redeliver ~now ~w
+        if inflight.(w).rid >= 0 && now >= dead_after.(w) then redeliver ~now ~w
       done
     in
-    let exec_request (ctx : Program.ctx) r =
-      match objsets.(r.kind) with
+    let exec_request (ctx : Program.ctx) ~kind r =
+      match objsets.(kind) with
       | OCounter regs -> ignore (Scu.Counter.fetch_and_increment regs.(r.key))
       | OTreiber tops ->
           if r.push then
@@ -555,87 +502,58 @@ let run_shard cfg ~shard =
           Scu.Waitfree_counter.incr_op ~memory ~pointer:w.ptrs.(r.key)
             ~announce:w.anns.(r.key) ~n:ctx.n ~id:ctx.id ~seq:sq.(ctx.id)
     in
-    (* The historical fault-free program: byte-identical step sequence
-       to every release since the service landed. *)
-    let program_plain (ctx : Program.ctx) =
-      let rec loop () =
-        if !served < total then begin
-          let now = Program.now () in
-          drain now;
-          match Queue.take_opt ready with
-          | None ->
-              (* Nothing dispatchable: burn one step polling so time
-                 advances towards the next arrival. *)
-              Program.yield_noop ();
-              loop ()
-          | Some r ->
-              let dispatch = now in
-              exec_request ctx r;
-              let fin = Program.now () in
-              Hdr.add latency (fin - r.arrival);
-              Hdr.add service (fin - dispatch);
-              Hdr.add queue_wait (dispatch - r.arrival);
-              Hdr.add per_kind.(r.kind) (fin - r.arrival);
-              incr served;
-              if not is_open then schedule_next ~base:fin r;
-              Program.complete ();
-              loop ()
-        end
-      in
-      loop ()
-    in
-    (* The fault-tolerant program.  Same dispatch loop, plus: crash
-       redelivery on re-entry, the deadline and hedge scans, stale
-       ready entries discarded without burning a step, and duplicate
-       completions (hedge losers, late redelivered copies) resolved
-       at-least-once — the first finisher wins.  [Program.complete]
-       fires exactly once per resolution (success or final timeout),
-       so [Completions total] still means "every request resolved". *)
-    let program_robust (ctx : Program.ctx) =
+    (* The worker program: take the next live request, execute it,
+       record it.  Around that loop sit crash redelivery on re-entry,
+       the deadline and hedge scans, stale ready entries discarded
+       without burning a step, and duplicate completions (hedge losers,
+       late redelivered copies) resolved at-least-once — the first
+       finisher wins.  None of this bookkeeping takes a simulated step
+       or an RNG draw, so a run without faults or an active policy
+       keeps the historical step sequence.  [Program.complete] fires
+       exactly once per resolution (success or final timeout), so
+       [Completions total] still means "every request resolved". *)
+    let program (ctx : Program.ctx) =
       (* A restarted worker re-enters here with a fresh body; whatever
          request it held when it crashed is redelivered (same attempt —
          a crash consumes no retry budget). *)
-      if inflight_rid.(ctx.id) >= 0 then
+      if inflight.(ctx.id).rid >= 0 then
         redeliver ~now:(Program.now ()) ~w:ctx.id;
       let rec take_ready () =
         match Queue.take_opt ready with
-        | None -> None
-        | Some r ->
-            if Bytes.get status r.rid <> '\000' || attempt_cur.(r.rid) <> r.attempt
-            then take_ready () (* stale: superseded or already resolved *)
-            else Some r
+        | Some r when cur_attempt.(r.rid) <> r.attempt -> take_ready ()
+        | next -> next
       in
       let rec loop () =
         if !resolved < total then begin
           let now = Program.now () in
-          if pol.deadline <> None then scan now;
-          (match pol.hedge_after with
-          | Some h -> hedge_scan h now
-          | None -> ());
+          (match pol.deadline with Some d -> scan d now | None -> ());
+          (match pol.hedge_after with Some h -> hedge_scan h now | None -> ());
           drain now;
           match take_ready () with
           | None ->
+              (* Nothing dispatchable: burn one step polling so time
+                 advances towards the next arrival. *)
               rescue now;
               Program.yield_noop ();
               loop ()
           | Some r ->
               let dispatch = now in
-              inflight_rid.(ctx.id) <- r.rid;
-              inflight_attempt.(ctx.id) <- r.attempt;
+              let kind = r.rid / ops mod nkinds in
+              inflight.(ctx.id) <- r;
               inflight_since.(ctx.id) <- dispatch;
-              exec_request ctx r;
+              exec_request ctx ~kind r;
               let fin = Program.now () in
-              inflight_rid.(ctx.id) <- -1;
-              if Bytes.get status r.rid = '\000' then begin
-                Bytes.set status r.rid '\001';
+              inflight.(ctx.id) <- dummy;
+              let attempt = cur_attempt.(r.rid) in
+              if attempt >= 0 then begin
+                cur_attempt.(r.rid) <- -1;
                 incr resolved;
-                if attempt_cur.(r.rid) > 0 then incr retried_c else incr ok_c;
-                let born = first_arrival.(r.rid) in
-                Hdr.add latency (fin - born);
+                if attempt > 0 then incr retried_c else incr ok_c;
+                Hdr.add latency (fin - r.born);
                 Hdr.add service (fin - dispatch);
                 Hdr.add queue_wait (dispatch - r.arrival);
-                Hdr.add per_kind.(r.kind) (fin - born);
-                if not is_open then schedule_next ~base:fin req_store.(r.rid);
+                Hdr.add per_kind.(kind) (fin - r.born);
+                if not is_open then schedule_next ~base:fin r;
                 Program.complete ()
               end;
               loop ()
@@ -643,47 +561,32 @@ let run_shard cfg ~shard =
       in
       loop ()
     in
-    let program = if robust then program_robust else program_plain in
     let spec = { Sim.Executor.name = "load-shard"; memory; program } in
     let exec_config =
-      let base =
-        Sim.Executor.Config.(
-          default
-          |> with_seed (Workload.mix cfg.seed (shard + 0x10AD))
-          |> with_max_steps cfg.max_steps)
-      in
-      if robust then Sim.Executor.Config.with_faults plan base else base
+      Sim.Executor.Config.(
+        default
+        |> with_seed (Workload.mix cfg.seed (shard + 0x10AD))
+        |> with_max_steps cfg.max_steps
+        |> with_faults plan)
     in
     let r =
       Sim.Executor.exec ~config:exec_config ~scheduler:Sched.Scheduler.uniform
         ~n:cfg.workers ~stop:(Completions total) spec
     in
-    let base_res =
-      {
-        (empty_result ~steps:(Sim.Metrics.time r.metrics)
-           ~stopped_early:r.stopped_early)
-        with
-        max_queue_depth = !max_depth;
-      }
-    in
-    if not robust then base_res
-    else
-      {
-        base_res with
-        outcomes =
-          {
-            Policy.ok = !ok_c;
-            retried = !retried_c;
-            retries = !retries_c;
-            redelivered = !redelivered_c;
-            hedges = !hedges_c;
-            timed_out = !timedout_c;
-            dropped = total - !resolved;
-          };
-        restarts = Array.fold_left ( + ) 0 r.restarts;
-        spurious_cas = r.spurious_cas;
-      }
-    end
+    result ~steps:(Sim.Metrics.time r.metrics) ~stopped_early:r.stopped_early
+      ~max_queue_depth:!max_depth
+      ~outcomes:
+        {
+          Policy.ok = !ok_c;
+          retried = !retried_c;
+          retries = !retries_c;
+          redelivered = !redelivered_c;
+          hedges = !hedges_c;
+          timed_out = !timedout_c;
+          dropped = total - !resolved;
+        }
+      ~restarts:(Array.fold_left ( + ) 0 r.restarts)
+      ~spurious_cas:r.spurious_cas
   end
 
 let merge_shards cfg (shards : shard_result list) =

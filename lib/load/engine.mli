@@ -23,12 +23,14 @@
     redelivered on restart (or rescued outright once the plan shows
     the worker is permanently dead), and every offered request
     resolves to exactly one {!Policy.outcome}.  All of it is a pure
-    function of the config — same seed, same bytes — and a config with
-    no faults and an inert policy runs the exact historical program,
-    byte-identical to a build without this layer.  A base plan that
-    permanently crashes every worker (a total outage) is accepted:
-    each shard degrades to an all-dropped, stopped-early result
-    instead of running. *)
+    function of the config — same seed, same bytes.  Every config runs
+    the same dispatch loop; its fault bookkeeping takes no simulated
+    step and no RNG draw, so a config with no faults and an inert
+    policy keeps the historical step sequence, byte-identical to a
+    build without this layer.  A base plan that permanently crashes
+    every worker (a total outage) is accepted: each shard degrades to
+    an all-dropped, stopped-early result with 0 steps instead of
+    running. *)
 
 type kind = Counter | Treiber | Msqueue | Elimination | Waitfree
 
@@ -64,11 +66,6 @@ val default : config
 
 val no_faults : Sched.Fault_plan.spec
 
-val is_robust : config -> bool
-(** True when the config has faults or an active policy — i.e. the
-    run takes the fault-tolerant dispatch path rather than the
-    historical byte-identical one. *)
-
 val validate : config -> (unit, string) result
 
 val shard_plan : config -> shard:int -> total:int -> Sched.Fault_plan.t
@@ -84,15 +81,17 @@ type shard_result = {
   offered : int;  (** Requests offered to this shard. *)
   steps : int;  (** Simulated steps the shard ran. *)
   max_queue_depth : int;  (** High-water mark of the ready queue. *)
-  stopped_early : bool;  (** Hit [max_steps] before finishing. *)
+  stopped_early : bool;
+      (** Left requests unresolved: it hit [max_steps], or, with
+          [steps = 0], a total outage left no worker to run. *)
   latency : Stats.Hdr.t;  (** Arrival to completion, steps. *)
   service : Stats.Hdr.t;  (** Dispatch to completion, steps. *)
   queue_wait : Stats.Hdr.t;  (** Arrival to dispatch, steps. *)
   per_kind : (kind * Stats.Hdr.t) list;  (** Latency by structure. *)
   outcomes : Policy.counts;
-      (** Request-outcome taxonomy; [ok = requests] and all else zero
-          on the fault-free path (minus any [dropped] cut off by
-          [max_steps]). *)
+      (** Request-outcome taxonomy.  Without faults or an active
+          policy, [ok = requests] and all else is zero except any
+          [dropped] cut off by [max_steps]. *)
   restarts : int;  (** Worker crash-restarts executed by the plan. *)
   spurious_cas : int;  (** Spuriously failed CAS steps. *)
 }
@@ -115,7 +114,7 @@ type result = {
 }
 
 val stopped_shards : result -> int list
-(** Ids of the shards that hit [max_steps], in shard order. *)
+(** Ids of the shards that stopped early, in shard order. *)
 
 val run_shard : config -> shard:int -> shard_result
 (** One shard's simulation — a pure function of [(config, shard)]. *)

@@ -42,9 +42,12 @@ let error_budget ?(target = default_slo_target) (r : Engine.result) =
       (if burn <= 1. then "ok" else if burn <= 10. then "degraded" else "breached");
   }
 
+let reports_faults (cfg : Engine.config) =
+  not (Sched.Fault_plan.spec_is_none cfg.faults && Policy.is_none cfg.policy)
+
 let of_result ?window ?slo ?degrade ?error_budget (r : Engine.result) =
   let cfg = r.config in
-  let robust = Engine.is_robust cfg in
+  let fault_fields = reports_faults cfg in
   {
     LR.structures = List.map Engine.kind_name cfg.kinds;
     clients = cfg.clients;
@@ -56,12 +59,13 @@ let of_result ?window ?slo ?degrade ?error_budget (r : Engine.result) =
     alpha = cfg.alpha;
     seed = cfg.seed;
     faults =
-      (if robust then Some (Sched.Fault_plan.spec_to_string cfg.faults)
+      (if fault_fields then Some (Sched.Fault_plan.spec_to_string cfg.faults)
        else None);
-    policy = (if robust then Some (Policy.to_string cfg.policy) else None);
+    policy =
+      (if fault_fields then Some (Policy.to_string cfg.policy) else None);
     window;
     requests = r.requests;
-    offered = (if robust then Some r.offered else None);
+    offered = (if fault_fields then Some r.offered else None);
     steps_total = r.steps_total;
     steps_max = r.steps_max;
     stopped_early = r.stopped_early;
@@ -72,7 +76,7 @@ let of_result ?window ?slo ?degrade ?error_budget (r : Engine.result) =
     service = quantiles r.service;
     queue_wait = quantiles r.queue_wait;
     outcomes =
-      (if robust then
+      (if fault_fields then
          Some
            {
              LR.ok = r.outcomes.Policy.ok;
@@ -84,8 +88,8 @@ let of_result ?window ?slo ?degrade ?error_budget (r : Engine.result) =
              dropped = r.outcomes.dropped;
            }
        else None);
-    restarts = (if robust then Some r.restarts else None);
-    spurious_cas = (if robust then Some r.spurious_cas else None);
+    restarts = (if fault_fields then Some r.restarts else None);
+    spurious_cas = (if fault_fields then Some r.spurious_cas else None);
     per_kind =
       List.map
         (fun (k, h) -> { LR.kind = Engine.kind_name k; latency = quantiles h })
@@ -116,10 +120,25 @@ let of_result ?window ?slo ?degrade ?error_budget (r : Engine.result) =
         degrade;
   }
 
-let stopped_shard_ids (t : LR.t) =
+type stop_cause = Outage | Step_budget
+
+let stopped_early (t : LR.t) =
+  (* [max_steps] is at least 1, so a stopped shard that ran no step
+     never started: its plan left no worker to run. *)
+  let cause (r : LR.shard_row) =
+    if r.shard_steps = 0 then Outage else Step_budget
+  in
   List.filter_map
-    (fun (r : LR.shard_row) -> if r.shard_stopped then Some r.shard else None)
-    t.per_shard
+    (fun c ->
+      match
+        List.filter_map
+          (fun (r : LR.shard_row) ->
+            if r.shard_stopped && cause r = c then Some r.shard else None)
+          t.per_shard
+      with
+      | [] -> None
+      | ids -> Some (c, ids))
+    [ Outage; Step_budget ]
 
 let render (t : LR.t) =
   let b = Buffer.create 1024 in
@@ -133,12 +152,17 @@ let render (t : LR.t) =
   add "  requests: %d  steps: %d (max shard %d)%s\n" t.requests t.steps_total
     t.steps_max
     (if t.stopped_early then
-       match stopped_shard_ids t with
-       | [] -> "  STOPPED EARLY (step budget)"
-       | ids ->
-           Printf.sprintf "  STOPPED EARLY (step budget; shard%s %s)"
-             (if List.length ids = 1 then "" else "s")
-             (String.concat "," (List.map string_of_int ids))
+       Printf.sprintf "  STOPPED EARLY (%s)"
+         (String.concat "; "
+            (List.map
+               (fun (cause, ids) ->
+                 Printf.sprintf "%s; shard%s %s"
+                   (match cause with
+                   | Outage -> "total outage"
+                   | Step_budget -> "step budget")
+                   (if List.length ids = 1 then "" else "s")
+                   (String.concat "," (List.map string_of_int ids)))
+               (stopped_early t)))
      else "");
   add "  throughput: %.2f req/kstep\n" t.throughput_per_kstep;
   (match t.outcomes with

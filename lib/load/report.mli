@@ -25,15 +25,27 @@ val of_result :
   Engine.result ->
   Telemetry.Load_report.t
 (** Fault/policy extension fields are filled (upgrading the manifest
-    to schema 2) exactly when {!Engine.is_robust} holds for the
-    result's config. *)
+    to schema 2) exactly when {!reports_faults} holds for the result's
+    config. *)
 
-val stopped_shard_ids : Telemetry.Load_report.t -> int list
-(** Shards whose rows are marked stopped-early, in shard order. *)
+val reports_faults : Engine.config -> bool
+(** True when the config injects faults or sets an active request
+    policy.  Its report then carries the fault layer's fields
+    (manifest schema 2: faults, policy, offered, outcomes, restarts,
+    spurious CAS) and the CLI reports its error budget. *)
+
+type stop_cause =
+  | Outage  (** Ran 0 steps: the fault plan crashes every worker for good. *)
+  | Step_budget  (** Ran out of [max_steps], which is at least 1. *)
+
+val stopped_early :
+  Telemetry.Load_report.t -> (stop_cause * int list) list
+(** The stopped-early shards grouped by cause, outages first, each
+    group in shard order; empty when every shard finished. *)
 
 val render : Telemetry.Load_report.t -> string
 (** Multi-line human summary (throughput, tail quantiles,
     per-structure breakdown, outcome taxonomy and injected-fault
     counts when present, SLO / degradation gate verdicts when
     present).  A stopped-early run's header names the offending
-    shards. *)
+    shards and why they stopped. *)

@@ -451,14 +451,28 @@ let golden_cases =
        --seed 0"
       1;
     (* Captured from the build predating the fault layer: a run without
-       --faults/--deadline/... must take the historical byte-identical
-       path, so any drift here means the robust dispatch path leaked
-       into fault-free runs. *)
+       --faults/--deadline/... must keep the historical step sequence,
+       so any drift here means the dispatch loop's fault bookkeeping
+       started costing simulated steps or RNG draws. *)
     golden_case "load-seed0"
       "load --structures all --clients 20000 --seed 0 --no-progress" 0;
     golden_case "serve-seed0"
       "serve --structures counter --clients 5000 --windows 3 --seed 0 \
        --no-progress"
+      0;
+    (* Ok, retried and timed-out requests, with retries, crash
+       redeliveries, hedges, restarts and spurious CAS all non-zero:
+       pins a faulted run's quantiles and per-kind rows, not just its
+       outcome counts. *)
+    golden_case "load-faulted-seed0"
+      "load --structures all --clients 4000 --ops 3 --seed 0 --faults \
+       standard --deadline 400 --retries 2 --hedge 150 --no-progress"
+      0;
+    (* The open loop: successors are scheduled at dispatch, not at
+       completion, so a bursty arrival stream builds a backlog. *)
+    golden_case "load-open-seed3"
+      "load --structures all --clients 20000 --seed 3 --mode open --arrival \
+       bursty --rate 0.01 --no-progress"
       0;
   ]
 
@@ -509,6 +523,13 @@ let test_load_outage_drill () =
       Alcotest.(check int) "outage exits 1" 1 code;
       Alcotest.(check bool) ("stderr names the shards: " ^ err) true
         (contains err "shards 0,1 stopped early");
+      Alcotest.(check bool) ("stderr names the outage: " ^ err) true
+        (contains err "total outage");
+      Alcotest.(check bool) ("stderr does not blame the step budget: " ^ err)
+        false
+        (contains err "--max-steps");
+      Alcotest.(check bool) ("stdout names the outage: " ^ out) true
+        (contains out "STOPPED EARLY (total outage; shards 0,1)");
       Alcotest.(check bool) "stdout reports the drops" true
         (contains out "dropped=200");
       let manifest = read_file (Filename.concat dir "outage.json") in

@@ -377,23 +377,24 @@ let test_faulted_manifest_schema () =
   Alcotest.(check bool) "faulted upgrades to schema 2" true
     (has (json faulted_cfg) Telemetry.Load_report.schema_v2)
 
+(* Both workers of every shard crashed for good at step 0. *)
+let outage_cfg =
+  {
+    tight_cfg with
+    shards = 2;
+    faults =
+      {
+        Load.Engine.no_faults with
+        Sched.Fault_plan.base =
+          Sched.Fault_plan.of_crash_events [ (0, 0); (0, 1) ];
+      };
+  }
+
 let test_outage_all_dropped () =
   (* Permanently crash both workers: the shard must degrade to an
      all-dropped stopped-early result instead of running (the executor
      itself rejects total-outage plans). *)
-  let cfg =
-    {
-      tight_cfg with
-      shards = 2;
-      faults =
-        {
-          Load.Engine.no_faults with
-          Sched.Fault_plan.base =
-            Sched.Fault_plan.of_crash_events [ (0, 0); (0, 1) ];
-        };
-    }
-  in
-  let r = Load.Engine.run cfg in
+  let r = Load.Engine.run outage_cfg in
   Alcotest.(check int) "nothing served" 0 r.requests;
   Alcotest.check counts "everything dropped"
     { Load.Policy.zero_counts with dropped = 2_000 }
@@ -401,6 +402,61 @@ let test_outage_all_dropped () =
   Alcotest.(check bool) "stopped early" true r.stopped_early;
   Alcotest.(check (list int)) "both shards named" [ 0; 1 ]
     (Load.Engine.stopped_shards r)
+
+let test_stop_causes () =
+  (* A shard that ran out of [max_steps] and one that never ran are
+     told apart in the report and its rendering. *)
+  let report cfg = Load.Report.of_result (Load.Engine.run cfg) in
+  let causes cfg =
+    List.map
+      (fun (c, ids) ->
+        ( (match c with
+          | Load.Report.Outage -> "outage"
+          | Step_budget -> "step budget"),
+          ids ))
+      (Load.Report.stopped_early (report cfg))
+  in
+  let check label want cfg =
+    Alcotest.(check (list (pair string (list int)))) label want (causes cfg)
+  in
+  check "finished" [] small_cfg;
+  check "out of steps" [ ("step budget", [ 0; 1; 2; 3 ]) ]
+    { small_cfg with max_steps = 100 };
+  check "outage" [ ("outage", [ 0; 1 ]) ] outage_cfg;
+  let rendered = Load.Report.render (report { small_cfg with max_steps = 100 }) in
+  Alcotest.(check bool) ("render names the budget: " ^ rendered) true
+    (List.exists
+       (String.ends_with ~suffix:"STOPPED EARLY (step budget; shards 0,1,2,3)")
+       (String.split_on_char '\n' rendered))
+
+let test_empty_shards () =
+  (* Fewer clients than shards: a shard past the last client carries no
+     request and returns without simulating — 0 steps, all-zero
+     outcomes, never stopped early — with or without a fault spec, even
+     a total outage that stops every shard that has requests. *)
+  List.iter
+    (fun (label, (cfg : Load.Engine.config), busy_stopped) ->
+      let r = Load.Engine.run cfg in
+      List.iter
+        (fun (s : Load.Engine.shard_result) ->
+          let name = Printf.sprintf "%s shard %d" label s.shard in
+          if s.shard < cfg.clients then
+            Alcotest.(check bool) (name ^ " stopped early") busy_stopped
+              s.stopped_early
+          else begin
+            Alcotest.(check int) (name ^ " offered") 0 s.offered;
+            Alcotest.(check int) (name ^ " steps") 0 s.steps;
+            Alcotest.(check bool) (name ^ " stopped early") false
+              s.stopped_early;
+            Alcotest.check counts (name ^ " outcomes") Load.Policy.zero_counts
+              s.outcomes
+          end)
+        r.shards)
+    [
+      ("fault-free", { small_cfg with clients = 3; shards = 8 }, false);
+      ("faulted", { faulted_cfg with clients = 3; shards = 8 }, false);
+      ("outage", { outage_cfg with clients = 1 }, true);
+    ]
 
 let test_shard_plan_deterministic () =
   let plan s = Load.Engine.shard_plan faulted_cfg ~shard:s ~total:1_000 in
@@ -454,7 +510,7 @@ let test_degrade_standard_passes () =
       Alcotest.(check bool) "within budget" true d.passed;
       Alcotest.(check int) "five gates" 5 (List.length d.gates);
       Alcotest.(check bool) "baseline leg is fault-free" false
-        (Load.Engine.is_robust d.baseline.config)
+        (Load.Report.reports_faults d.baseline.config)
 
 let test_degrade_unknown_tier () =
   Alcotest.(check bool) "unknown tier is an error" true
@@ -572,6 +628,8 @@ let () =
             test_faulted_manifest_schema;
           Alcotest.test_case "total outage degrades" `Quick
             test_outage_all_dropped;
+          Alcotest.test_case "stop causes" `Quick test_stop_causes;
+          Alcotest.test_case "empty shards" `Quick test_empty_shards;
           Alcotest.test_case "shard plans deterministic" `Quick
             test_shard_plan_deterministic;
           Alcotest.test_case "error budget verdicts" `Quick
