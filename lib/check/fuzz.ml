@@ -98,8 +98,7 @@ let qcheck_source ~structure ~n ~ops ~config =
   in
   let outcome_of (sched, crash, mix) =
     let fault_plan =
-      Sched.Fault_plan.of_crash_plan
-        (Sched.Crash_plan.of_list (sanitize_crashes ~n crash))
+      Sched.Fault_plan.of_crash_events (sanitize_crashes ~n crash)
     in
     Schedule.run ~fault_plan ~gates:config.gates ~mix_seed:mix ~structure ~n
       ~ops ~tail:Round_robin (Array.of_list sched)
@@ -120,7 +119,7 @@ let qcheck_source ~structure ~n ~ops ~config =
          schedule for a tighter witness. *)
       let crash_events = sanitize_crashes ~n crash in
       let fault_plan =
-        Sched.Fault_plan.of_crash_plan (Sched.Crash_plan.of_list crash_events)
+        Sched.Fault_plan.of_crash_events crash_events
       in
       let out = outcome_of (sched, crash, mix) in
       let minimal =

@@ -24,7 +24,7 @@ let plan { Plan.quick; seed } =
   let completions_upto budget ~crashed make_spec =
     let fault_plan =
       if crashed then
-        Sched.Fault_plan.of_crash_plan (Sched.Crash_plan.of_list [ (crash_at, 0) ])
+        Sched.Fault_plan.of_crash_events [ (crash_at, 0) ]
       else Sched.Fault_plan.none
     in
     let config =

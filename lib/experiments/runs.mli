@@ -23,8 +23,7 @@ val spec_metrics :
   Sim.Executor.spec ->
   Sim.Metrics.t
 (** Run an arbitrary effect-based spec.  Crash-only schedules go
-    through [fault_plan] too ({!Sched.Fault_plan.of_crash_plan}); the
-    legacy [crash_plan] argument is gone. *)
+    through [fault_plan] too ({!Sched.Fault_plan.of_crash_events}). *)
 
 val sim_trace :
   ?seed:int -> ?scheduler:Sched.Scheduler.t -> n:int -> steps:int -> unit -> Sched.Trace.t

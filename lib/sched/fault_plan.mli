@@ -1,9 +1,12 @@
-(** Fault schedules — the chaos layer's generalization of
-    {!Crash_plan}.
+(** Fault schedules.
 
     Definition 1 of the paper only shrinks the possibly-active set
-    (permanent crashes).  A fault plan adds three deliberate
-    extensions, documented in DESIGN.md ("Fault model"):
+    (permanent crashes): conditions 3–4 say a crashed process has
+    probability 0 from its crash time onward and A_{τ+1} ⊆ A_τ, and
+    the paper allows up to n−1 crashes.  A plan of [Crash] events
+    alone is exactly such a crash plan ({!of_crash_events}).  A fault
+    plan adds three deliberate extensions, documented in DESIGN.md
+    ("Fault model"):
 
     - {b crash–recovery}: a [Restart] event revives a crashed process
       with a fresh program body while the shared memory keeps whatever
@@ -12,11 +15,7 @@
       unschedulable during [[t, t+d)] without crashing it;
     - {b spurious CAS failure}: per-process rates at which a CAS (or
       augmented CAS) that would succeed is denied, LL/SC-style, drawn
-      deterministically from the executor's seed.
-
-    A plan containing only [Crash] events is semantically identical to
-    the equivalent {!Crash_plan} — the executor guarantees the two
-    paths produce byte-identical runs. *)
+      deterministically from the executor's seed. *)
 
 type event =
   | Crash of int  (** Process stops taking steps at the event time. *)
@@ -73,7 +72,10 @@ val make : ?spurious:(int option * float) list -> (int * event) list -> t
     [(Some proc | None (= every process), rate)]. *)
 
 val of_crash_events : (int * int) list -> t
-val of_crash_plan : Crash_plan.t -> t
+(** A crash-only plan from [(time, proc)] pairs: each process stops at
+    the start of its crash time.  A process listed more than once
+    crashes at its earliest time (a later crash of a crashed process
+    is a no-op). *)
 
 val merge : t -> t -> t
 (** Union of events (stable by time) and spurious entries; overlapping

@@ -28,8 +28,9 @@ let pick_uniform rng alive =
    [pick] calls would consume ([alive_count] draws nothing; [Rng.int]
    is mirrored by [Rng.fill_int]), then the same [nth_alive] mapping
    applied through a precomputed table.  Only valid while the alive
-   set does not change — the executor guarantees that by sizing its
-   batches to the next alive-set transition. *)
+   set does not change — the executor batches only runs whose alive
+   set can never change (no choice hook, no faults, a program that
+   cannot halt). *)
 let fill_uniform ~rng ~alive ~dst ~len =
   let k = alive_count alive in
   if k = 0 then invalid_arg "Scheduler: no alive process";

@@ -1,9 +1,5 @@
 type spec = { name : string; memory : Memory.t; program : Program.t }
-
-type stop =
-  | Steps of int
-  | Completions of int
-  | Per_process_completions of int
+type stop = Steps of int | Completions of int
 
 type result = {
   metrics : Metrics.t;
@@ -56,6 +52,276 @@ module Config = struct
   let with_choose choose t = { t with choose = Some choose }
 end
 
+(* Where a start or a step left a process. *)
+type outcome =
+  | Parked  (* suspended at its next shared-memory operation *)
+  | Retry
+      (* a spuriously denied [Cas_get]: the step is consumed but the
+         process stays at the same operation, the transparent LL/SC
+         retry *)
+  | Returned  (* its body returned: terminated *)
+
+(* What an entry point supplies to the run loop: the process bodies.
+   [start i rng] (re)starts process [i] with a fresh body whose private
+   stream is [rng] and runs it to its first shared-memory operation;
+   [step i] applies parked process [i]'s operation and runs its local
+   code up to the next one; [pending i] decodes the operation it is
+   parked at; [release] frees fibers and hooks, once, even when the run
+   raises. *)
+type backend = {
+  start : int -> Stats.Rng.t -> outcome;
+  step : int -> outcome;
+  pending : int -> Memory.op option;
+  release : unit -> unit;
+}
+
+(* How many scheduler picks to draw per batch.  Large enough to
+   amortize dispatch, small enough that the over-draw wasted at the end
+   of a run is negligible. *)
+let batch_len = 8192
+
+(* The one run loop behind both entry points.  [make] builds the
+   backend once the configuration is validated; it receives the
+   metrics (for completions and the clock) and, when the plan has
+   spurious rates, [deny i]: whether process [i]'s would-succeed CAS is
+   spuriously failed.  [can_halt] is false only for a program that
+   provably never returns, which with no choice hook, no faults and a
+   scheduler with [fill] means the alive set cannot change, so picks
+   are drawn [batch_len] at a time — the same stream as per-step
+   picks. *)
+let run ~(config : Config.t) ~(scheduler : Sched.Scheduler.t) ~n ~stop
+    ~memory ~can_halt make =
+  (* The messages keep the historical "Executor.run" prefix: tests and
+     replay transcripts pin them. *)
+  if config.invariant_interval < 1 then
+    invalid_arg "Executor.run: invariant_interval must be >= 1";
+  if n <= 0 then invalid_arg "Executor.run: n must be positive";
+  (match Sched.Fault_plan.validate ~n config.fault_plan with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Executor.run: " ^ msg));
+  let {
+    Config.seed;
+    trace;
+    record_samples;
+    fault_plan = plan;
+    max_steps;
+    invariant;
+    invariant_interval;
+    choose;
+  } =
+    config
+  in
+  let rng = Stats.Rng.create ~seed in
+  let metrics = Metrics.create ~record_samples ~n () in
+  let tr = if trace then Some (Sched.Trace.create ~n) else None in
+  let alive = Array.make n true in
+  let crashed = Array.make n false in
+  let terminated = Array.make n false in
+  let stalled_until = Array.make n 0 in
+  let restarts = Array.make n 0 in
+  let spurious_cas = ref 0 in
+  (* Spurious-CAS draws come from a dedicated stream split off *after*
+     the per-process streams, so a plan without spurious rates leaves
+     every other stream — and hence the whole run — untouched.  A
+     start never reaches a shared operation, so no draw happens before
+     the split. *)
+  let has_spurious = Sched.Fault_plan.has_spurious plan in
+  let rates = Sched.Fault_plan.spurious_rates ~n plan in
+  let srng = ref rng in
+  let deny =
+    if has_spurious then
+      Some
+        (fun i ->
+          let r = rates.(i) in
+          r > 0.
+          && Stats.Rng.float !srng 1.0 < r
+          &&
+          (incr spurious_cas;
+           true))
+    else None
+  in
+  let b = make ~metrics ~deny in
+  Fun.protect ~finally:b.release @@ fun () ->
+  let start i =
+    match b.start i (Stats.Rng.split rng) with
+    | Returned ->
+        terminated.(i) <- true;
+        alive.(i) <- false
+    | Parked | Retry -> alive.(i) <- true
+  in
+  for i = 0 to n - 1 do
+    start i
+  done;
+  if has_spurious then srng := Stats.Rng.split rng;
+  let events = Sched.Fault_plan.events plan in
+  let cursor = ref 0 in
+  (* Fault events fire at the start of their time step, in plan order. *)
+  let process_events now =
+    while !cursor < Array.length events && fst events.(!cursor) <= now do
+      (match snd events.(!cursor) with
+      | Sched.Fault_plan.Crash p ->
+          if not terminated.(p) then begin
+            crashed.(p) <- true;
+            alive.(p) <- false
+          end
+      | Sched.Fault_plan.Restart p ->
+          (* Only a crashed, unfinished process restarts: a fresh body
+             re-enters over the shared memory as the crash left it. *)
+          if crashed.(p) && not terminated.(p) then begin
+            crashed.(p) <- false;
+            restarts.(p) <- restarts.(p) + 1;
+            start p
+          end
+      | Sched.Fault_plan.Stall (p, d) ->
+          if d > 0 then stalled_until.(p) <- max stalled_until.(p) (now + d));
+      incr cursor
+    done
+  in
+  let refresh_stalls now =
+    for i = 0 to n - 1 do
+      if stalled_until.(i) > 0 then
+        alive.(i) <-
+          stalled_until.(i) <= now && (not crashed.(i)) && not terminated.(i)
+    done
+  in
+  let alive_count () =
+    Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 alive
+  in
+  (* With every process crashed or stalled the run can still make
+     progress later: a stall window expires, or a scheduled restart
+     revives a crashed process.  [wakeable] decides whether to idle
+     (tick the clock without a step) or stop early for good. *)
+  let wakeable now =
+    let pending = ref false in
+    for i = 0 to n - 1 do
+      if stalled_until.(i) > now && (not crashed.(i)) && not terminated.(i)
+      then pending := true
+    done;
+    for j = !cursor to Array.length events - 1 do
+      match snd events.(j) with
+      | Sched.Fault_plan.Restart p ->
+          if crashed.(p) && not terminated.(p) then pending := true
+      | Sched.Fault_plan.Crash _ | Sched.Fault_plan.Stall _ -> ()
+    done;
+    !pending
+  in
+  (* A [Steps] stop is the step budget; only a [Completions] target
+     needs its own check. *)
+  let step_budget, target =
+    match stop with
+    | Steps s -> (min s max_steps, None)
+    | Completions c -> (max_steps, Some c)
+  in
+  let target_met () =
+    match target with
+    | Some c -> Metrics.total_completions metrics >= c
+    | None -> false
+  in
+  let fill =
+    match scheduler.fill with
+    | Some _ as fill
+      when Option.is_none choose && Sched.Fault_plan.is_none plan
+           && not can_halt ->
+        fill
+    | _ -> None
+  in
+  (* A round's picks: a whole batch when batching, else at most one. *)
+  let picks = Array.make (if Option.is_some fill then batch_len else 1) 0 in
+  let stopped_early = ref false in
+  let running = ref true in
+  while !running do
+    let now = Metrics.time metrics in
+    if target_met () then running := false
+    else if now >= step_budget then begin
+      stopped_early := Option.is_some target;
+      running := false
+    end
+    else begin
+      let len =
+        match fill with
+        | Some fill ->
+            let len = min batch_len (step_budget - now) in
+            fill ~rng ~alive ~dst:picks ~len;
+            len
+        | None -> (
+            process_events now;
+            refresh_stalls now;
+            if alive_count () = 0 then begin
+              if wakeable now then Metrics.tick metrics
+              else begin
+                stopped_early := true;
+                running := false
+              end;
+              0
+            end
+            else
+              match choose with
+              | None ->
+                  picks.(0) <- scheduler.pick ~rng ~alive ~time:now;
+                  1
+              | Some f -> (
+                  match f ~alive ~time:now with
+                  | Some i ->
+                      picks.(0) <- i;
+                      1
+                  | None ->
+                      (* The choice callback declined to continue:
+                         stop here so the caller (the schedule
+                         explorer) can inspect the frontier state. *)
+                      stopped_early := true;
+                      running := false;
+                      0))
+      in
+      (* Each pick is one step: charge it, apply the operation and
+         (unless spuriously denied) the local suffix, then the
+         invariant cadence.  The batch length respects the step
+         budget; picks left over when a completion target lands
+         mid-batch are discarded with the run's private RNG. *)
+      let j = ref 0 in
+      while !j < len do
+        if !j > 0 && Option.is_some target && target_met () then j := len
+        else begin
+          let i = Array.unsafe_get picks !j in
+          if i < 0 || i >= n || not (Array.unsafe_get alive i) then
+            invalid_arg
+              (Printf.sprintf
+                 "Executor.run: scheduler %s picked dead process %d"
+                 scheduler.name i);
+          Metrics.on_step metrics i;
+          (match tr with Some t -> Sched.Trace.record t i | None -> ());
+          let applied =
+            match b.step i with
+            | Retry -> false
+            | Parked -> true
+            | Returned ->
+                terminated.(i) <- true;
+                alive.(i) <- false;
+                true
+          in
+          (match invariant with
+          | Some check
+            when applied && Metrics.time metrics mod invariant_interval = 0 ->
+              check memory ~time:(Metrics.time metrics)
+          | _ -> ());
+          incr j
+        end
+      done
+    end
+  done;
+  Option.iter (fun check -> check memory ~time:(Metrics.time metrics)) invariant;
+  {
+    metrics;
+    trace = tr;
+    crashed;
+    terminated;
+    stopped_early = !stopped_early;
+    pending = Array.init n b.pending;
+    restarts;
+    spurious_cas = !spurious_cas;
+  }
+
+(* -- Effect interpreter --------------------------------------------- *)
+
 (* A process is either suspended at a shared-memory operation, waiting
    to be scheduled, or its body returned. *)
 type proc_state =
@@ -64,7 +330,8 @@ type proc_state =
 
 (* Run a process body until its next [Step] effect (or return),
    handling [Complete] and [Now] effects inline. *)
-let handler ~on_complete ~(now : unit -> int) : (unit, proc_state) Effect.Deep.handler =
+let handler ~on_complete ~(now : unit -> int) :
+    (unit, proc_state) Effect.Deep.handler =
   {
     retc = (fun () -> Terminated);
     exnc = (fun e -> raise e);
@@ -92,249 +359,58 @@ let discard_state = function
       try ignore (Effect.Deep.discontinue k Exit) with Exit | _ -> ())
   | Terminated -> ()
 
-(* Validation shared by both entry points.  The messages keep the
-   historical "Executor.run" prefix: tests and replay transcripts pin
-   them, and [run] still fronts both paths. *)
-let validate_config ~n (config : Config.t) =
-  if config.invariant_interval < 1 then
-    invalid_arg "Executor.run: invariant_interval must be >= 1";
-  if n <= 0 then invalid_arg "Executor.run: n must be positive";
-  match Sched.Fault_plan.validate ~n config.fault_plan with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Executor.run: " ^ msg)
+let exec ?(config = Config.default) ~scheduler ~n ~stop spec =
+  let memory = spec.memory in
+  run ~config ~scheduler ~n ~stop ~memory ~can_halt:true
+  @@ fun ~metrics ~deny ->
+  let states = Array.make n Terminated in
+  let now () = Metrics.time metrics in
+  let start id rng =
+    (* A restarted process's old fiber is discarded first. *)
+    discard_state states.(id);
+    let s =
+      Effect.Deep.match_with spec.program { Program.id; n; rng }
+        (handler ~now ~on_complete:(function
+          | None -> Metrics.on_complete metrics id
+          | Some m -> Metrics.on_complete_method metrics id m))
+    in
+    states.(id) <- s;
+    match s with Suspended _ -> Parked | Terminated -> Returned
+  in
+  (* [Memory.apply_faulty] consults the hook only on a would-succeed
+     CAS, on behalf of the process being stepped. *)
+  let current = ref 0 in
+  Option.iter
+    (fun deny -> Memory.set_fault_hook memory (Some (fun _ -> deny !current)))
+    deny;
+  let step i =
+    match states.(i) with
+    | Terminated -> assert false (* terminated processes are not alive *)
+    | Suspended (op, k) -> (
+        current := i;
+        match Memory.apply_faulty memory op with
+        | Memory.Denied -> Retry
+        | Memory.Applied value -> (
+            let s = Effect.Deep.continue k value in
+            states.(i) <- s;
+            match s with Suspended _ -> Parked | Terminated -> Returned))
+  in
+  let pending i =
+    match states.(i) with Suspended (op, _) -> Some op | Terminated -> None
+  in
+  let release () =
+    Array.iteri
+      (fun i s ->
+        discard_state s;
+        states.(i) <- Terminated)
+      states;
+    if Option.is_some deny then Memory.set_fault_hook memory None
+  in
+  { start; step; pending; release }
 
-let exec ?(config = Config.default) ~(scheduler : Sched.Scheduler.t) ~n ~stop
-    spec =
-  validate_config ~n config;
-  let {
-    Config.seed;
-    trace;
-    record_samples;
-    fault_plan = plan;
-    max_steps;
-    invariant;
-    invariant_interval;
-    choose;
-  } =
-    config
-  in
-  let rng = Stats.Rng.create ~seed in
-  let metrics = Metrics.create ~record_samples ~n () in
-  let tr = if trace then Some (Sched.Trace.create ~n) else None in
-  let alive = Array.make n true in
-  let crashed = Array.make n false in
-  let terminated = Array.make n false in
-  let stalled_until = Array.make n 0 in
-  let restarts = Array.make n 0 in
-  let spurious_cas = ref 0 in
-  let make_state id =
-    let ctx = { Program.id; n; rng = Stats.Rng.split rng } in
-    Effect.Deep.match_with spec.program ctx
-      (handler
-         ~on_complete:(function
-           | None -> Metrics.on_complete metrics id
-           | Some m -> Metrics.on_complete_method metrics id m)
-         ~now:(fun () -> Metrics.time metrics))
-  in
-  let states = Array.init n make_state in
-  Array.iteri
-    (fun i s ->
-      match s with
-      | Terminated ->
-          terminated.(i) <- true;
-          alive.(i) <- false
-      | Suspended _ -> ())
-    states;
-  (* Spurious-CAS hook: consulted by [Memory.apply_faulty] only on a
-     would-succeed CAS, drawing from a dedicated RNG stream split off
-     *after* the per-process streams so a plan without spurious rates
-     leaves every other stream — and hence the whole run — untouched. *)
-  let rates = Sched.Fault_plan.spurious_rates ~n plan in
-  let has_spurious = Sched.Fault_plan.has_spurious plan in
-  let current_proc = ref (-1) in
-  if has_spurious then begin
-    let srng = Stats.Rng.split rng in
-    Memory.set_fault_hook spec.memory
-      (Some
-         (fun op ->
-           match op with
-           | Memory.Cas _ | Memory.Cas_get _ ->
-               let r = rates.(!current_proc) in
-               if r > 0. && Stats.Rng.float srng 1.0 < r then begin
-                 incr spurious_cas;
-                 true
-               end
-               else false
-           | Memory.Read _ | Memory.Write _ | Memory.Faa _ -> false))
-  end;
-  let events = Sched.Fault_plan.events plan in
-  let cursor = ref 0 in
-  (* Fault events fire at the start of their time step, in plan order. *)
-  let process_events now =
-    while !cursor < Array.length events && fst events.(!cursor) <= now do
-      (match snd events.(!cursor) with
-      | Sched.Fault_plan.Crash p ->
-          if not terminated.(p) then begin
-            crashed.(p) <- true;
-            alive.(p) <- false
-          end
-      | Sched.Fault_plan.Restart p ->
-          (* Only a crashed, still-suspended process restarts: its old
-             fiber is discarded and a fresh body re-enters over the
-             shared memory as the crash left it. *)
-          if crashed.(p) && not terminated.(p) then begin
-            discard_state states.(p);
-            crashed.(p) <- false;
-            restarts.(p) <- restarts.(p) + 1;
-            states.(p) <- make_state p;
-            match states.(p) with
-            | Terminated ->
-                terminated.(p) <- true;
-                alive.(p) <- false
-            | Suspended _ -> alive.(p) <- true
-          end
-      | Sched.Fault_plan.Stall (p, d) ->
-          if d > 0 then stalled_until.(p) <- max stalled_until.(p) (now + d));
-      incr cursor
-    done
-  in
-  let refresh_stalls now =
-    for i = 0 to n - 1 do
-      if stalled_until.(i) > 0 then
-        alive.(i) <-
-          stalled_until.(i) <= now
-          && (not crashed.(i))
-          && (not terminated.(i))
-          && (match states.(i) with Suspended _ -> true | Terminated -> false)
-    done
-  in
-  let completions_target_met () =
-    match stop with
-    | Steps s -> Metrics.time metrics >= s
-    | Completions c -> Metrics.total_completions metrics >= c
-    | Per_process_completions c ->
-        let ok = ref true in
-        for i = 0 to n - 1 do
-          if (not crashed.(i)) && Metrics.completions_of metrics i < c then ok := false
-        done;
-        !ok
-  in
-  let alive_count () = Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 alive in
-  (* With every process crashed or stalled the run can still make
-     progress later: a stall window expires, or a scheduled restart
-     revives a crashed process.  [wakeable] decides whether to idle
-     (tick the clock without a step) or stop early for good. *)
-  let wakeable now =
-    let stall_pending = ref false in
-    for i = 0 to n - 1 do
-      if
-        stalled_until.(i) > now
-        && (not crashed.(i))
-        && (not terminated.(i))
-        && (match states.(i) with Suspended _ -> true | Terminated -> false)
-      then stall_pending := true
-    done;
-    let restart_pending = ref false in
-    for j = !cursor to Array.length events - 1 do
-      match snd events.(j) with
-      | Sched.Fault_plan.Restart p ->
-          if crashed.(p) && not terminated.(p) then restart_pending := true
-      | _ -> ()
-    done;
-    !stall_pending || !restart_pending
-  in
-  let stopped_early = ref false in
-  let step_budget = match stop with Steps s -> min s max_steps | _ -> max_steps in
-  let continue_run = ref true in
-  let finalize () =
-    if has_spurious then Memory.set_fault_hook spec.memory None
-  in
-  Fun.protect ~finally:finalize @@ fun () ->
-  while !continue_run do
-    if completions_target_met () then continue_run := false
-    else if Metrics.time metrics >= step_budget then begin
-      (match stop with Steps _ -> () | _ -> stopped_early := true);
-      continue_run := false
-    end
-    else begin
-      let now = Metrics.time metrics in
-      process_events now;
-      refresh_stalls now;
-      if alive_count () = 0 then begin
-        if wakeable now then Metrics.tick metrics
-        else begin
-          stopped_early := true;
-          continue_run := false
-        end
-      end
-      else begin
-        let picked =
-          match choose with
-          | Some f -> f ~alive ~time:now
-          | None -> Some (scheduler.pick ~rng ~alive ~time:now)
-        in
-        match picked with
-        | None ->
-            (* The choice callback declined to continue: stop here so
-               the caller (the schedule explorer) can inspect the
-               frontier state. *)
-            stopped_early := true;
-            continue_run := false
-        | Some i ->
-        if i < 0 || i >= n || not alive.(i) then
-          invalid_arg
-            (Printf.sprintf "Executor.run: scheduler %s picked dead process %d"
-               scheduler.name i);
-        (match states.(i) with
-        | Terminated -> assert false (* terminated processes are not alive *)
-        | Suspended (op, k) ->
-            Metrics.on_step metrics i;
-            Option.iter (fun t -> Sched.Trace.record t i) tr;
-            current_proc := i;
-            (match Memory.apply_faulty spec.memory op with
-            | Memory.Denied ->
-                (* Spurious [Cas_get] failure: the step is consumed but
-                   the process stays suspended at the same operation —
-                   the transparent LL/SC retry. *)
-                ()
-            | Memory.Applied value ->
-                states.(i) <- Effect.Deep.continue k value;
-                (match states.(i) with
-                | Terminated ->
-                    terminated.(i) <- true;
-                    alive.(i) <- false
-                | Suspended _ -> ());
-                (match invariant with
-                | Some check when Metrics.time metrics mod invariant_interval = 0 ->
-                    check spec.memory ~time:(Metrics.time metrics)
-                | _ -> ())))
-      end
-    end
-  done;
-  Option.iter (fun check -> check spec.memory ~time:(Metrics.time metrics)) invariant;
-  let pending =
-    Array.map
-      (function Suspended (op, _) -> Some op | Terminated -> None)
-      states
-  in
-  (* Discard suspended continuations cleanly so fibers are not leaked. *)
-  Array.iteri
-    (fun i s ->
-      discard_state s;
-      match s with Suspended _ -> states.(i) <- Terminated | Terminated -> ())
-    states;
-  {
-    metrics;
-    trace = tr;
-    crashed;
-    terminated;
-    stopped_early = !stopped_early;
-    pending;
-    restarts;
-    spurious_cas = !spurious_cas;
-  }
+(* -- Compiled instruction programs ---------------------------------- *)
 
-(* The dispatch loops below match on literal opcode values (a literal
+(* The dispatch code below matches on literal opcode values (a literal
    match compiles to a jump table, a match on module constants does
    not); pin the literals to the Compile encoding once at module
    initialization so drift is impossible to miss. *)
@@ -349,42 +425,21 @@ let () =
         && alloc = 20 && count = 21)
   then failwith "Executor: opcode encoding drifted from Compile.Op"
 
-(* How many scheduler picks to draw per batch on the compiled fast
-   path.  Large enough to amortize dispatch, small enough that the
-   over-draw wasted at the end of a run is negligible. *)
-let batch_len = 8192
-
-let exec_compiled ?(config = Config.default) ~(scheduler : Sched.Scheduler.t)
-    ~n ~stop (cspec : Compile.spec) =
-  validate_config ~n config;
-  let {
-    Config.seed;
-    trace;
-    record_samples;
-    fault_plan = plan;
-    max_steps;
-    invariant;
-    invariant_interval;
-    choose;
-  } =
-    config
-  in
+let exec_compiled ?(config = Config.default) ~scheduler ~n ~stop
+    (cspec : Compile.spec) =
   let memory = cspec.Compile.memory in
   let prog = cspec.Compile.code in
+  run ~config ~scheduler ~n ~stop ~memory ~can_halt:prog.Compile.has_halt
+  @@ fun ~metrics ~deny ->
   let code = prog.Compile.code in
   let nregs = Compile.nregs in
-  let rng = Stats.Rng.create ~seed in
-  let metrics = Metrics.create ~record_samples ~n () in
-  let tr = if trace then Some (Sched.Trace.create ~n) else None in
-  let alive = Array.make n true in
-  let crashed = Array.make n false in
-  let terminated = Array.make n false in
-  let stalled_until = Array.make n 0 in
-  let restarts = Array.make n 0 in
-  let spurious_cas = ref 0 in
   let regs = Array.make (n * nregs) 0 in
   let pc = Array.make n 0 in
-  let rngs = Array.make n rng in
+  (* Placeholder streams: [start] sets each before its process runs. *)
+  let rngs = Array.make n (Stats.Rng.create ~seed:0) in
+  let has_spurious, deny =
+    match deny with Some f -> (true, f) | None -> (false, fun _ -> false)
+  in
   (* Cached view of the memory's backing store; refetched after every
      allocation (which may reallocate it).  All shared-memory opcodes
      go straight at this array, with [Memory.check]'s exact bounds
@@ -399,9 +454,9 @@ let exec_compiled ?(config = Config.default) ~(scheduler : Sched.Scheduler.t)
      until it parks at a shared-memory instruction (pc left on it;
      returns true) or halts (pc set to -1; returns false).  This is
      the "any amount of local computation" half of a step, and also
-     the process prologue at start and crash-restart.  Register
-     indices were validated by [Compile.assemble] and [code] is
-     private, so the register file accesses are in bounds. *)
+     the process prologue.  Register indices were validated by
+     [Compile.assemble] and [code] is private, so the register file
+     accesses are in bounds. *)
   let run_local i =
     let rb = i * nregs in
     let p = ref pc.(i) in
@@ -454,469 +509,93 @@ let exec_compiled ?(config = Config.default) ~(scheduler : Sched.Scheduler.t)
             cells := Memory.cells memory;
             used := Memory.used memory
         | _ ->
-            invalid_arg (Printf.sprintf "Executor.exec_compiled: bad opcode %d" opcode)
+            invalid_arg
+              (Printf.sprintf "Executor.exec_compiled: bad opcode %d" opcode)
       end
     done;
     pc.(i) <- !p;
     !parked
   in
-  (* Mirror of the interpreter's startup: per-process RNG split then
-     prologue, in process order (the prologue may draw from the
-     process's own stream or allocate, never from the main stream). *)
-  for i = 0 to n - 1 do
-    rngs.(i) <- Stats.Rng.split rng;
-    if not (run_local i) then begin
-      terminated.(i) <- true;
-      alive.(i) <- false
-    end
-  done;
-  let rates = Sched.Fault_plan.spurious_rates ~n plan in
-  let has_spurious = Sched.Fault_plan.has_spurious plan in
-  (* Split in the same stream position as the interpreter's hook rng:
-     after the n per-process splits, only when the plan needs it. *)
-  let srng = if has_spurious then Stats.Rng.split rng else rng in
+  (* A fresh body: zeroed registers, pc 0, prologue run. *)
+  let start i rng =
+    rngs.(i) <- rng;
+    Array.fill regs (i * nregs) nregs 0;
+    pc.(i) <- 0;
+    if run_local i then Parked else Returned
+  in
+  (* One shared-memory operation for parked process [i], replicating
+     [Memory.apply_faulty] inline: [deny] is consulted only on a
+     would-succeed CAS — the interpreter's hook order — then r0 gets
+     the result and the local suffix runs to the next park point. *)
   let denied = ref false in
-  (* One shared-memory operation for process [i] (parked at one).
-     Replicates [Memory.apply]/[Memory.apply_faulty] inline, including
-     the spurious-CAS deny logic: the rate is consulted only on a
-     would-succeed CAS and the srng is drawn only when the rate is
-     positive — the exact draw order of the interpreter's hook. *)
-  let step_shared i =
+  let step i =
     let rb = i * nregs in
     let base = pc.(i) * 4 in
     let opcode = Array.unsafe_get code base in
     let addr = Array.unsafe_get regs (rb + Array.unsafe_get code (base + 1)) in
     if addr < 1 || addr >= !used then oob addr;
     let mem = !cells in
-    match opcode with
-    | 0 (* read *) -> Array.unsafe_get mem addr
-    | 1 (* write *) ->
-        let v = Array.unsafe_get regs (rb + Array.unsafe_get code (base + 2)) in
-        Array.unsafe_set mem addr v;
-        v
-    | 2 (* cas *) ->
-        let e = Array.unsafe_get regs (rb + Array.unsafe_get code (base + 2)) in
-        if Array.unsafe_get mem addr = e then begin
-          if
-            has_spurious
-            && (let r = Array.unsafe_get rates i in
-                r > 0. && Stats.Rng.float srng 1.0 < r)
-          then begin
-            incr spurious_cas;
-            0
-          end
-          else begin
-            Array.unsafe_set mem addr
-              (Array.unsafe_get regs (rb + Array.unsafe_get code (base + 3)));
-            1
-          end
-        end
-        else 0
-    | 3 (* cas_get *) ->
-        let e = Array.unsafe_get regs (rb + Array.unsafe_get code (base + 2)) in
-        let old = Array.unsafe_get mem addr in
-        if old = e then begin
-          if
-            has_spurious
-            && (let r = Array.unsafe_get rates i in
-                r > 0. && Stats.Rng.float srng 1.0 < r)
-          then begin
-            incr spurious_cas;
-            denied := true;
-            0
-          end
-          else begin
-            Array.unsafe_set mem addr
-              (Array.unsafe_get regs (rb + Array.unsafe_get code (base + 3)));
-            old
-          end
-        end
-        else old
-    | 4 (* faa *) ->
-        let d = Array.unsafe_get regs (rb + Array.unsafe_get code (base + 2)) in
-        let old = Array.unsafe_get mem addr in
-        Array.unsafe_set mem addr (old + d);
-        old
-    | _ -> assert false
-  in
-  (* One scheduled step of alive process [i]: charge the step, apply
-     the shared op, then (unless spuriously denied, the LL/SC retry)
-     deliver the result to r0 and run the local suffix to the next
-     park point, then the invariant hook — the same order as the
-     interpreter around [Effect.Deep.continue]. *)
-  let step_process i =
-    Metrics.on_step metrics i;
-    (match tr with Some t -> Sched.Trace.record t i | None -> ());
-    denied := false;
-    let v = step_shared i in
-    if not !denied then begin
-      Array.unsafe_set regs (i * nregs) v;
+    let v =
+      match opcode with
+      | 0 (* read *) -> Array.unsafe_get mem addr
+      | 1 (* write *) ->
+          let v = Array.unsafe_get regs (rb + Array.unsafe_get code (base + 2)) in
+          Array.unsafe_set mem addr v;
+          v
+      | 2 (* cas *) ->
+          let e = Array.unsafe_get regs (rb + Array.unsafe_get code (base + 2)) in
+          if Array.unsafe_get mem addr = e then
+            if has_spurious && deny i then 0
+            else begin
+              Array.unsafe_set mem addr
+                (Array.unsafe_get regs (rb + Array.unsafe_get code (base + 3)));
+              1
+            end
+          else 0
+      | 3 (* cas_get *) ->
+          let e = Array.unsafe_get regs (rb + Array.unsafe_get code (base + 2)) in
+          let old = Array.unsafe_get mem addr in
+          if old = e then
+            if has_spurious && deny i then denied := true
+            else
+              Array.unsafe_set mem addr
+                (Array.unsafe_get regs (rb + Array.unsafe_get code (base + 3)));
+          old
+      | 4 (* faa *) ->
+          let d = Array.unsafe_get regs (rb + Array.unsafe_get code (base + 2)) in
+          let old = Array.unsafe_get mem addr in
+          Array.unsafe_set mem addr (old + d);
+          old
+      | _ -> assert false
+    in
+    if !denied then begin
+      denied := false;
+      Retry
+    end
+    else begin
+      Array.unsafe_set regs rb v;
       pc.(i) <- pc.(i) + 1;
-      if not (run_local i) then begin
-        terminated.(i) <- true;
-        alive.(i) <- false
-      end;
-      match invariant with
-      | Some check when Metrics.time metrics mod invariant_interval = 0 ->
-          check memory ~time:(Metrics.time metrics)
-      | _ -> ()
+      if run_local i then Parked else Returned
     end
   in
-  let events = Sched.Fault_plan.events plan in
-  let cursor = ref 0 in
-  let process_events now =
-    while !cursor < Array.length events && fst events.(!cursor) <= now do
-      (match snd events.(!cursor) with
-      | Sched.Fault_plan.Crash p ->
-          if not terminated.(p) then begin
-            crashed.(p) <- true;
-            alive.(p) <- false
-          end
-      | Sched.Fault_plan.Restart p ->
-          (* Fresh body over the memory as the crash left it: new RNG
-             split from the main stream (as the interpreter's
-             [make_state] does), zeroed registers, prologue re-run. *)
-          if crashed.(p) && not terminated.(p) then begin
-            crashed.(p) <- false;
-            restarts.(p) <- restarts.(p) + 1;
-            rngs.(p) <- Stats.Rng.split rng;
-            Array.fill regs (p * nregs) nregs 0;
-            pc.(p) <- 0;
-            if run_local p then alive.(p) <- true
-            else begin
-              terminated.(p) <- true;
-              alive.(p) <- false
-            end
-          end
-      | Sched.Fault_plan.Stall (p, d) ->
-          if d > 0 then stalled_until.(p) <- max stalled_until.(p) (now + d));
-      incr cursor
-    done
-  in
-  let refresh_stalls now =
-    for i = 0 to n - 1 do
-      if stalled_until.(i) > 0 then
-        alive.(i) <-
-          stalled_until.(i) <= now
-          && (not crashed.(i))
-          && (not terminated.(i))
-          && pc.(i) >= 0
-    done
-  in
-  let completions_target_met () =
-    match stop with
-    | Steps s -> Metrics.time metrics >= s
-    | Completions c -> Metrics.total_completions metrics >= c
-    | Per_process_completions c ->
-        let ok = ref true in
-        for i = 0 to n - 1 do
-          if (not crashed.(i)) && Metrics.completions_of metrics i < c then ok := false
-        done;
-        !ok
-  in
-  let alive_count () = Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 alive in
-  let wakeable now =
-    let stall_pending = ref false in
-    for i = 0 to n - 1 do
-      if
-        stalled_until.(i) > now
-        && (not crashed.(i))
-        && (not terminated.(i))
-        && pc.(i) >= 0
-      then stall_pending := true
-    done;
-    let restart_pending = ref false in
-    for j = !cursor to Array.length events - 1 do
-      match snd events.(j) with
-      | Sched.Fault_plan.Restart p ->
-          if crashed.(p) && not terminated.(p) then restart_pending := true
-      | _ -> ()
-    done;
-    !stall_pending || !restart_pending
-  in
-  let stopped_early = ref false in
-  let step_budget = match stop with Steps s -> min s max_steps | _ -> max_steps in
-  let continue_run = ref true in
-  (* Fast path: with no choice hook, no faults and a program that
-     cannot halt, the alive set provably never changes, so scheduler
-     picks can be drawn in batches ([Scheduler.fill] consumes the RNG
-     bit-for-bit as per-step picks would).  Picks over-drawn when a
-     completion target lands mid-batch are discarded with the run's
-     private RNG — nothing observes the main stream afterwards, so
-     results stay byte-identical to the per-step path. *)
-  let can_batch =
-    Option.is_none choose
-    && Option.is_some scheduler.fill
-    && Sched.Fault_plan.is_none plan
-    && (not prog.Compile.has_halt)
-    && not (Array.exists Fun.id terminated)
-  in
-  if can_batch && Option.is_none tr && Option.is_none invariant then begin
-    (* Fastest path: batching applies *and* nothing per-step is
-       observable from outside (no trace, no invariant), so the whole
-       step — charge, shared op, local suffix — is inlined with the
-       clock in a local, synced back to the metrics before anything
-       that reads it (a completion, the stop check, the caller).
-       [can_batch] implies a fault-free plan, so the spurious-CAS
-       branches of [step_shared] are dead and omitted; it also implies
-       [has_halt = false], so the halt opcode is unreachable and the
-       alive set never changes. *)
-    let fill = Option.get scheduler.fill in
-    let batch = Array.make batch_len 0 in
-    let check_target = match stop with Steps _ -> false | _ -> true in
-    let steps_by = Metrics.steps_array metrics in
-    let time = ref (Metrics.time metrics) in
-    while !continue_run do
-      if completions_target_met () then continue_run := false
-      else if !time >= step_budget then begin
-        (match stop with Steps _ -> () | _ -> stopped_early := true);
-        continue_run := false
-      end
-      else begin
-        let len = min batch_len (step_budget - !time) in
-        fill ~rng ~alive ~dst:batch ~len;
-        let j = ref 0 in
-        while !j < len && !continue_run do
-          if check_target && completions_target_met () then
-            continue_run := false
-          else begin
-            let i = Array.unsafe_get batch !j in
-            if i < 0 || i >= n || not (Array.unsafe_get alive i) then begin
-              Metrics.set_time metrics !time;
-              invalid_arg
-                (Printf.sprintf
-                   "Executor.run: scheduler %s picked dead process %d"
-                   scheduler.name i)
-            end;
-            time := !time + 1;
-            Array.unsafe_set steps_by i (Array.unsafe_get steps_by i + 1);
-            let rb = i * nregs in
-            let base = Array.unsafe_get pc i * 4 in
-            let opcode = Array.unsafe_get code base in
-            let addr =
-              Array.unsafe_get regs (rb + Array.unsafe_get code (base + 1))
-            in
-            if addr < 1 || addr >= !used then begin
-              Metrics.set_time metrics !time;
-              oob addr
-            end;
-            let mem = !cells in
-            let v =
-              match opcode with
-              | 0 (* read *) -> Array.unsafe_get mem addr
-              | 1 (* write *) ->
-                  let v =
-                    Array.unsafe_get regs (rb + Array.unsafe_get code (base + 2))
-                  in
-                  Array.unsafe_set mem addr v;
-                  v
-              | 2 (* cas *) ->
-                  if
-                    Array.unsafe_get mem addr
-                    = Array.unsafe_get regs
-                        (rb + Array.unsafe_get code (base + 2))
-                  then begin
-                    Array.unsafe_set mem addr
-                      (Array.unsafe_get regs
-                         (rb + Array.unsafe_get code (base + 3)));
-                    1
-                  end
-                  else 0
-              | 3 (* cas_get *) ->
-                  let old = Array.unsafe_get mem addr in
-                  if
-                    old
-                    = Array.unsafe_get regs
-                        (rb + Array.unsafe_get code (base + 2))
-                  then
-                    Array.unsafe_set mem addr
-                      (Array.unsafe_get regs
-                         (rb + Array.unsafe_get code (base + 3)));
-                  old
-              | 4 (* faa *) ->
-                  let d =
-                    Array.unsafe_get regs (rb + Array.unsafe_get code (base + 2))
-                  in
-                  let old = Array.unsafe_get mem addr in
-                  Array.unsafe_set mem addr (old + d);
-                  old
-              | _ -> assert false
-            in
-            Array.unsafe_set regs rb v;
-            (* Local suffix to the next park point, mirroring
-               [run_local] minus the unreachable halt case. *)
-            let p = ref (Array.unsafe_get pc i + 1) in
-            let running = ref true in
-            while !running do
-              let base = !p * 4 in
-              let opcode = Array.unsafe_get code base in
-              if opcode <= 4 (* shared: park here *) then running := false
-              else begin
-                let a = Array.unsafe_get code (base + 1) in
-                let b = Array.unsafe_get code (base + 2) in
-                let c = Array.unsafe_get code (base + 3) in
-                incr p;
-                match opcode with
-                | 6 (* complete *) ->
-                    Metrics.set_time metrics !time;
-                    if a < 0 then Metrics.on_complete metrics i
-                    else Metrics.on_complete_method metrics i a
-                | 7 (* loadi *) -> Array.unsafe_set regs (rb + a) b
-                | 8 (* mov *) ->
-                    Array.unsafe_set regs (rb + a)
-                      (Array.unsafe_get regs (rb + b))
-                | 9 (* addi *) ->
-                    Array.unsafe_set regs (rb + a)
-                      (Array.unsafe_get regs (rb + b) + c)
-                | 10 (* add *) ->
-                    Array.unsafe_set regs (rb + a)
-                      (Array.unsafe_get regs (rb + b)
-                      + Array.unsafe_get regs (rb + c))
-                | 11 (* sub *) ->
-                    Array.unsafe_set regs (rb + a)
-                      (Array.unsafe_get regs (rb + b)
-                      - Array.unsafe_get regs (rb + c))
-                | 12 (* jmp *) -> p := a
-                | 13 (* beq *) ->
-                    if
-                      Array.unsafe_get regs (rb + a)
-                      = Array.unsafe_get regs (rb + b)
-                    then p := c
-                | 14 (* bne *) ->
-                    if
-                      Array.unsafe_get regs (rb + a)
-                      <> Array.unsafe_get regs (rb + b)
-                    then p := c
-                | 15 (* blt *) ->
-                    if
-                      Array.unsafe_get regs (rb + a)
-                      < Array.unsafe_get regs (rb + b)
-                    then p := c
-                | 16 (* rand *) -> regs.(rb + a) <- Stats.Rng.int rngs.(i) b
-                | 17 (* now *) -> regs.(rb + a) <- !time
-                | 18 (* pid *) -> regs.(rb + a) <- i
-                | 19 (* nproc *) -> regs.(rb + a) <- n
-                | 20 (* alloc *) ->
-                    regs.(rb + a) <- Memory.alloc memory ~size:b;
-                    cells := Memory.cells memory;
-                    used := Memory.used memory
-                | _ ->
-                    (* 5 (halt) is unreachable: [can_batch] requires
-                       [has_halt = false]. *)
-                    assert false
-              end
-            done;
-            Array.unsafe_set pc i !p;
-            incr j
-          end
-        done;
-        Metrics.set_time metrics !time
-      end
-    done
-  end
-  else if can_batch then begin
-    let fill = Option.get scheduler.fill in
-    let batch = Array.make batch_len 0 in
-    (* For step-count stops the batch length already respects the
-       budget; only completion-style stops need the per-step check. *)
-    let check_target = match stop with Steps _ -> false | _ -> true in
-    while !continue_run do
-      if completions_target_met () then continue_run := false
-      else begin
-        let now = Metrics.time metrics in
-        if now >= step_budget then begin
-          (match stop with Steps _ -> () | _ -> stopped_early := true);
-          continue_run := false
-        end
-        else begin
-          let len = min batch_len (step_budget - now) in
-          fill ~rng ~alive ~dst:batch ~len;
-          let j = ref 0 in
-          while !j < len && !continue_run do
-            if check_target && completions_target_met () then
-              continue_run := false
-            else begin
-              let i = Array.unsafe_get batch !j in
-              if i < 0 || i >= n || not alive.(i) then
-                invalid_arg
-                  (Printf.sprintf
-                     "Executor.run: scheduler %s picked dead process %d"
-                     scheduler.name i);
-              step_process i;
-              incr j
-            end
-          done
-        end
-      end
-    done
-  end
-  else
-    while !continue_run do
-      if completions_target_met () then continue_run := false
-      else if Metrics.time metrics >= step_budget then begin
-        (match stop with Steps _ -> () | _ -> stopped_early := true);
-        continue_run := false
-      end
-      else begin
-        let now = Metrics.time metrics in
-        process_events now;
-        refresh_stalls now;
-        if alive_count () = 0 then begin
-          if wakeable now then Metrics.tick metrics
-          else begin
-            stopped_early := true;
-            continue_run := false
-          end
-        end
-        else begin
-          let picked =
-            match choose with
-            | Some f -> f ~alive ~time:now
-            | None -> Some (scheduler.pick ~rng ~alive ~time:now)
-          in
-          match picked with
-          | None ->
-              stopped_early := true;
-              continue_run := false
-          | Some i ->
-              if i < 0 || i >= n || not alive.(i) then
-                invalid_arg
-                  (Printf.sprintf
-                     "Executor.run: scheduler %s picked dead process %d"
-                     scheduler.name i);
-              step_process i
-        end
-      end
-    done;
-  Option.iter (fun check -> check memory ~time:(Metrics.time metrics)) invariant;
   (* A parked process's pending operation is decodable from its pc
      (always on a shared opcode) and registers — the registers cannot
      have changed since it parked. *)
-  let pending =
-    Array.init n (fun i ->
-        if pc.(i) < 0 then None
-        else
-          let rb = i * Compile.nregs in
-          let base = pc.(i) * 4 in
-          let r k = regs.(rb + code.(base + k)) in
-          match code.(base) with
-          | 0 -> Some (Memory.Read (r 1))
-          | 1 -> Some (Memory.Write (r 1, r 2))
-          | 2 -> Some (Memory.Cas (r 1, r 2, r 3))
-          | 3 -> Some (Memory.Cas_get (r 1, r 2, r 3))
-          | 4 -> Some (Memory.Faa (r 1, r 2))
-          | _ -> assert false)
+  let pending i =
+    if pc.(i) < 0 then None
+    else
+      let rb = i * nregs in
+      let base = pc.(i) * 4 in
+      let r k = regs.(rb + code.(base + k)) in
+      match code.(base) with
+      | 0 -> Some (Memory.Read (r 1))
+      | 1 -> Some (Memory.Write (r 1, r 2))
+      | 2 -> Some (Memory.Cas (r 1, r 2, r 3))
+      | 3 -> Some (Memory.Cas_get (r 1, r 2, r 3))
+      | 4 -> Some (Memory.Faa (r 1, r 2))
+      | _ -> assert false
   in
-  {
-    metrics;
-    trace = tr;
-    crashed;
-    terminated;
-    stopped_early = !stopped_early;
-    pending;
-    restarts;
-    spurious_cas = !spurious_cas;
-  }
+  { start; step; pending; release = ignore }
 
 let fingerprint r =
   let buf = Buffer.create 1024 in

@@ -19,18 +19,20 @@
     A plan with none of these degenerates to the paper's model and the
     run is byte-identical to one without a fault plan.
 
-    Two entry points share these semantics and one {!Config.t}:
+    One run loop implements these semantics — fault events, stalls,
+    idle ticks, stop conditions, the choice hook, scheduler picks,
+    trace, invariant cadence and the result — for two ways of writing
+    a process body, which share one {!Config.t}:
 
     - {!exec} runs an effect-based {!spec} (a closure body suspended
       at each shared-memory step) — maximally expressive, pays effect
       dispatch and a continuation allocation per step;
     - {!exec_compiled} runs a {!Compile.spec} (a flat int-coded
-      instruction array) in a tight loop with no per-step allocation,
-      and batches scheduler draws when the alive set provably cannot
-      change.  For the same seed and configuration, running a program
-      through [exec] (via {!Compile.to_program}) and through
-      [exec_compiled] produces byte-identical {!result}s — the
-      differential test suite pins this.
+      instruction array) with no per-step allocation.  For the same
+      seed and configuration, running a program through [exec] (via
+      {!Compile.to_program}) and through [exec_compiled] produces
+      byte-identical {!result}s — the differential test suite pins
+      this.
 
     Determinism: a run is a pure function of (spec, scheduler state,
     configuration), which the tests rely on. *)
@@ -44,10 +46,6 @@ type spec = {
 type stop =
   | Steps of int  (** Run for exactly this many system steps. *)
   | Completions of int  (** …until this many total completions. *)
-  | Per_process_completions of int
-      (** …until every (never-crashed, live) process has completed
-          this many operations — the maximal-progress stop used by the
-          Theorem 3 experiments. *)
 
 type result = {
   metrics : Metrics.t;
@@ -56,8 +54,8 @@ type result = {
   terminated : bool array;
   stopped_early : bool;
       (** True when the run ended because no process was schedulable,
-          a [Completions]-type target was unreachable, or the choice
-          hook returned [None]. *)
+          a [Completions] target was not reached within
+          [max_steps], or the choice hook returned [None]. *)
   pending : Memory.op option array;
       (** Each process's next shared-memory operation at the moment
           the run stopped ([None] once its body returned).  Crashed
@@ -87,9 +85,9 @@ module Config : sig
     record_samples : bool;  (** Keep raw latency gaps, not just summaries. *)
     fault_plan : Sched.Fault_plan.t;
     max_steps : int;
-        (** Safety net for [Completions]-type stop conditions that
-            might never be reached under an adversarial scheduler;
-            hitting it sets [stopped_early]. *)
+        (** Safety net for a [Completions] stop that might never be
+            reached under an adversarial scheduler; hitting it sets
+            [stopped_early]. *)
     invariant : (Memory.t -> time:int -> unit) option;
         (** Called on the shared memory every [invariant_interval]
             steps and once after the run — raise from it to fail fast
@@ -150,16 +148,16 @@ val exec_compiled :
   stop:stop ->
   Compile.spec ->
   result
-(** Like {!exec} but for a compiled instruction program, run by a
-    tight dispatch loop: preallocated int-array registers and pcs, no
-    per-step closure or effect, shared-memory operations inlined over
-    the raw cell array.  When the configuration has no choice hook and
-    no faults, the scheduler supports batched draws
-    ({!Sched.Scheduler.t.fill}) and the program cannot halt, scheduler
-    picks are drawn [8192] at a time — the alive set provably cannot
-    change, so the stream is identical to per-step picks.  All
-    semantics (fault events, stalls, spurious CAS, idle ticks,
-    invariant cadence, choice hook) are exactly {!exec}'s. *)
+(** Like {!exec} but for a compiled instruction program: registers
+    and pcs live in preallocated int arrays, and a step dispatches on
+    the instruction words with the shared-memory operation applied
+    straight to the memory's cells — no effect or allocation per
+    step.  When the configuration has no choice hook and no
+    faults, the scheduler supports batched draws
+    ({!Sched.Scheduler.t.fill}) and the program cannot halt, the
+    alive set cannot change, so scheduler picks are drawn [8192] at a
+    time: the same stream as per-step picks.  Every other behaviour
+    is {!exec}'s. *)
 
 val fingerprint : result -> string
 (** Exact textual rendering of everything observable in a result —

@@ -106,8 +106,6 @@ let method_system_latency t ~method_ =
   | None -> Stats.Summary.create ()
 
 let time t = t.time
-let set_time t time = t.time <- time
-let steps_array t = t.steps_by
 let steps_of t i = t.steps_by.(i)
 let completions_of t i = t.completions.(i)
 let total_completions t = Array.fold_left ( + ) 0 t.completions

@@ -49,17 +49,6 @@ val method_system_latency : t -> method_:int -> Stats.Summary.t
 val time : t -> int
 (** System steps elapsed. *)
 
-val set_time : t -> int -> unit
-(** Fast-path hook for the compiled executor's batched loop, which
-    keeps the clock in a local and syncs it back before anything else
-    (a completion, an invariant, the caller) can observe the metrics.
-    Not for general use: the clock must only ever move forward. *)
-
-val steps_array : t -> int array
-(** The live per-process step counters, for the same fast path (the
-    batched loop bumps them in place instead of calling {!on_step}).
-    Callers other than the executor must treat it as read-only. *)
-
 val steps_of : t -> int -> int
 (** Steps taken by one process. *)
 

@@ -57,7 +57,7 @@ let test_crash_never_false_alarms () =
   (* Crashing a process mid-operation leaves an in-flight op; the
      sound partial-history rule must never call that a violation. *)
   let fault_plan =
-    Sched.Fault_plan.of_crash_plan (Sched.Crash_plan.of_list [ (3, 1) ])
+    Sched.Fault_plan.of_crash_events [ (3, 1) ]
   in
   let out =
     Check.Schedule.run ~fault_plan ~structure:(find "cas-counter") ~n:2 ~ops:2

@@ -162,53 +162,64 @@ let test_exec_validation () =
 (* -- Batched scheduler draws ---------------------------------------- *)
 
 let compiled_counter_result ?(config = Sim.Executor.Config.default) ~scheduler
-    ~steps () =
+    ?(stop = Sim.Executor.Steps 30_000) () =
   let c = Scu.Counter.make_compiled ~n:6 in
   Sim.Executor.exec_compiled
     ~config:Sim.Executor.Config.(config |> with_seed 11)
-    ~scheduler ~n:6
-    ~stop:(Sim.Executor.Steps steps)
-    c.Scu.Counter.cspec
+    ~scheduler ~n:6 ~stop c.Scu.Counter.cspec
 
+(* The compiled counter never halts, so with no choice hook and no
+   faults the executor draws [uniform]'s picks 8192 at a time.
+   Dropping [fill] makes it pick once per step; every row must give
+   the same run either way. *)
 let test_batched_matches_per_step () =
-  (* Dropping [fill] forces the per-step pick path; the batched draw
-     stream must be bit-for-bit the same. *)
-  let batched =
-    compiled_counter_result ~scheduler:Sched.Scheduler.uniform ~steps:30_000 ()
-  in
-  let per_step =
-    compiled_counter_result
-      ~scheduler:{ Sched.Scheduler.uniform with fill = None }
-      ~steps:30_000 ()
-  in
-  Alcotest.(check string) "fill = None stream identical"
-    (Sim.Executor.fingerprint batched)
-    (Sim.Executor.fingerprint per_step)
+  let open Sim.Executor in
+  let uniform = Sched.Scheduler.uniform in
+  let no_fill = { uniform with fill = None } in
+  let default = Config.default in
+  let inert = Config.(default |> with_invariant ~interval:1_000 (fun _ ~time:_ -> ())) in
+  let traced = Config.(default |> with_trace true) in
+  let steps = Steps 30_000 in
+  List.iter
+    (fun (label, stop, config) ->
+      let batched = compiled_counter_result ~config ~scheduler:uniform ~stop () in
+      Alcotest.(check string) label (fingerprint batched)
+        (fingerprint
+           (compiled_counter_result ~config ~scheduler:no_fill ~stop ()));
+      (* The completion row must stop inside a batch, where picks drawn
+         past the target are thrown away. *)
+      match stop with
+      | Completions _ ->
+          Alcotest.(check bool) (label ^ ": stops mid-batch") true
+            (Sim.Metrics.time batched.metrics mod 8192 <> 0)
+      | Steps _ -> ())
+    [
+      ("default", steps, default);
+      ("inert invariant", steps, inert);
+      ("trace on", steps, traced);
+      ("completion target mid-batch", Completions 12_345, default);
+    ]
 
 let test_fast_loop_matches_instrumented () =
-  (* An inert invariant routes the run through the instrumented batched
-     loop instead of the fully-inlined one; observables must agree. *)
-  let fast =
-    compiled_counter_result ~scheduler:Sched.Scheduler.uniform ~steps:30_000 ()
-  in
+  (* A run with no hooks against the same run checking an inert
+     invariant every 1000 steps; observables must agree. *)
+  let fast = compiled_counter_result ~scheduler:Sched.Scheduler.uniform () in
   let instrumented =
     compiled_counter_result
       ~config:
         Sim.Executor.Config.(
           default |> with_invariant ~interval:1_000 (fun _ ~time:_ -> ()))
-      ~scheduler:Sched.Scheduler.uniform ~steps:30_000 ()
+      ~scheduler:Sched.Scheduler.uniform ()
   in
   Alcotest.(check string) "fast loop == instrumented loop"
     (Sim.Executor.fingerprint fast)
     (Sim.Executor.fingerprint instrumented)
 
 let test_fast_loop_matches_faulted_slow_loop () =
-  (* A stall scheduled far past the horizon never fires but disables
-     batching entirely — the per-pick fault loop must replay the same
-     run. *)
-  let fast =
-    compiled_counter_result ~scheduler:Sched.Scheduler.uniform ~steps:30_000 ()
-  in
+  (* A stall scheduled far past the horizon never fires but rules out
+     batching: the executor picks and checks faults once per step, and
+     must replay the same run. *)
+  let fast = compiled_counter_result ~scheduler:Sched.Scheduler.uniform () in
   let slow =
     compiled_counter_result
       ~config:
@@ -217,7 +228,7 @@ let test_fast_loop_matches_faulted_slow_loop () =
           |> with_faults
                (Sched.Fault_plan.make
                   [ (1_000_000, Sched.Fault_plan.Stall (0, 5)) ]))
-      ~scheduler:Sched.Scheduler.uniform ~steps:30_000 ()
+      ~scheduler:Sched.Scheduler.uniform ()
   in
   Alcotest.(check string) "fast loop == fault-checking loop"
     (Sim.Executor.fingerprint fast)

@@ -158,8 +158,7 @@ let test_crash_latency_tracks_survivors_corollary2 () =
   let n = 16 and k = 8 in
   let c1 = Scu.Counter.make ~n in
   let fault_plan =
-    Sched.Fault_plan.of_crash_plan
-      (Sched.Crash_plan.of_list (List.init (n - k) (fun i -> (0, k + i))))
+    Sched.Fault_plan.of_crash_events (List.init (n - k) (fun i -> (0, k + i)))
   in
   let r1 =
     run ~seed:3 ~fault_plan ~scheduler:uniform ~n ~stop:(Steps 600_000) c1.spec

@@ -234,28 +234,31 @@ let test_trace_max_gap () =
 
 (* -- Crash plans ---------------------------------------------------- *)
 
+(* A crash plan (Definition 1) is a crash-only fault plan, as
+   `repro check --crash` builds it. *)
+
+module FP = Sched.Fault_plan
+
 let test_crash_plan_dedup () =
-  let p = Sched.Crash_plan.of_list [ (10, 1); (5, 1); (7, 2) ] in
-  Alcotest.(check int) "count" 2 (Sched.Crash_plan.count p);
-  Alcotest.(check (list int)) "p1 crashes at its earliest time" [ 1 ]
-    (Sched.Crash_plan.crashes_at p ~time:5);
-  Alcotest.(check (list int)) "crashed_by 7" [ 1; 2 ]
-    (List.sort compare (Sched.Crash_plan.crashed_by p ~time:7))
+  let p = FP.of_crash_events [ (10, 1); (5, 1); (7, 2) ] in
+  Alcotest.(check int) "two distinct processes crash" 1 (FP.survivors ~n:3 p);
+  Alcotest.(check string) "p1's earliest crash comes first"
+    "crash@5:1,crash@7:2,crash@10:1" (FP.to_string p);
+  Alcotest.(check bool) "p1 listed twice is not an all-crash" true
+    (FP.validate ~n:2 (FP.of_crash_events [ (10, 1); (5, 1) ]) = Ok ())
 
 let test_crash_plan_validation () =
-  (match Sched.Crash_plan.validate ~n:3 (Sched.Crash_plan.of_list [ (1, 0); (2, 1) ]) with
+  (match FP.validate ~n:3 (FP.of_crash_events [ (1, 0); (2, 1) ]) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "n-1 crashes should be fine: %s" e);
-  (match Sched.Crash_plan.validate ~n:2 (Sched.Crash_plan.of_list [ (1, 0); (2, 1) ]) with
+  (match FP.validate ~n:2 (FP.of_crash_events [ (1, 0); (2, 1) ]) with
   | Ok () -> Alcotest.fail "all-crash should be rejected"
   | Error _ -> ());
-  match Sched.Crash_plan.validate ~n:2 (Sched.Crash_plan.of_list [ (1, 5) ]) with
+  match FP.validate ~n:2 (FP.of_crash_events [ (1, 5) ]) with
   | Ok () -> Alcotest.fail "out-of-range process"
   | Error _ -> ()
 
 (* -- Fault plans (chaos layer) -------------------------------------- *)
-
-module FP = Sched.Fault_plan
 
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
@@ -343,9 +346,8 @@ let test_fault_plan_merge_and_rates () =
   Alcotest.(check (float 1e-9)) "global rate applies to p1" 0.1 rates.(1);
   Alcotest.(check int) "restart count" 1 (FP.restart_count m);
   Alcotest.(check int) "stall total" 5 (FP.stall_total m);
-  Alcotest.(check string) "crash-plan bridge" "crash@1:0,crash@4:2"
-    (FP.to_string
-       (FP.of_crash_plan (Sched.Crash_plan.of_list [ (4, 2); (1, 0) ])))
+  Alcotest.(check string) "crash-only plan sorted by time" "crash@1:0,crash@4:2"
+    (FP.to_string (FP.of_crash_events [ (4, 2); (1, 0) ]))
 
 (* -- Distribution probes vs stateful schedulers --------------------- *)
 

@@ -17,7 +17,7 @@ let run ?seed ?crash_plan ?max_steps ~n ~stop spec =
     |> with_faults
          (match crash_plan with
          | None -> Sched.Fault_plan.none
-         | Some p -> Sched.Fault_plan.of_crash_plan p)
+         | Some p -> Sched.Fault_plan.of_crash_events p)
     |> with_max_steps (Option.value max_steps ~default:default.max_steps)
   in
   Sim.Executor.exec ~config ~scheduler:uniform ~n ~stop spec
@@ -79,7 +79,7 @@ let test_counter_crash_does_not_block () =
      survivor continues to complete operations. *)
   let n = 4 in
   let c = Scu.Counter.make ~n in
-  let crash_plan = Sched.Crash_plan.of_list [ (100, 0); (200, 1); (300, 2) ] in
+  let crash_plan = [ (100, 0); (200, 1); (300, 2) ] in
   let r = run ~crash_plan ~n ~stop:(Steps 20_000) c.spec in
   Alcotest.(check bool) "survivor progressed" true
     (Sim.Metrics.completions_of r.metrics 3 > 5_000)
@@ -655,7 +655,7 @@ let test_ticket_lock_blocks_on_crash () =
      served). *)
   let n = 4 in
   let t = Scu.Ticket_lock.make ~n in
-  let crash_plan = Sched.Crash_plan.of_list [ (10_000, 0) ] in
+  let crash_plan = [ (10_000, 0) ] in
   let r = run ~crash_plan ~n ~stop:(Steps 200_000) t.spec in
   let total = Sim.Metrics.total_completions r.metrics in
   (* A second run truncated at the crash point: afterwards, only a few

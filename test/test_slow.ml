@@ -1,5 +1,6 @@
 (* Long-budget checks, attached to the @slow alias (not runtest):
-   deeper exhaustive exploration, larger fuzz budgets, and the long
+   deeper exhaustive exploration, larger fuzz budgets, a long
+   interpreter-vs-compiled differential sweep, and the long
    conformance gates.  Run with `dune build @slow`.
 
    Self-contained seed plumbing (this stanza does not share modules
@@ -64,6 +65,16 @@ let test_long_fuzz_stock_clean () =
         (List.length r.Check.Fuzz.failures))
     [ "cas-counter"; "faa-counter"; "treiber"; "msqueue" ]
 
+let test_long_differential () =
+  (* Interpreter vs compiled executor on 5,000 random programs, plans
+     and configurations: the push tier runs 180 such cases. *)
+  match Check.Differential.run_trials ~seed:2014 ~trials:5_000 with
+  | None -> ()
+  | Some (case, outcome) ->
+      Alcotest.failf "interpreter/compiled divergence:\n%s\n%s"
+        (Check.Differential.case_to_string case)
+        outcome.Check.Differential.detail
+
 let test_long_conform_gates () =
   let r = Check.Conform.run ~long_budget:true ~seed:0 () in
   List.iter
@@ -82,6 +93,10 @@ let () =
         ] );
       ( "fuzz (long)",
         [ Alcotest.test_case "stock clean" `Slow test_long_fuzz_stock_clean ] );
+      ( "differential (long)",
+        [
+          Alcotest.test_case "5000 seeded trials" `Slow test_long_differential;
+        ] );
       ( "conform (long)",
         [ Alcotest.test_case "all gates" `Slow test_long_conform_gates ] );
     ]
