@@ -742,6 +742,69 @@ let parse_structures s =
              (List.filter (fun x -> x <> "") (String.split_on_char ',' names)))
       with Invalid_argument msg -> Error msg)
 
+(* `check --replay` and `chaos --replay`: one fixed schedule against
+   the single named structure under an explicit fault plan.  Prints
+   the verdict and the effective schedule; exits 1 unless the
+   verdict's badness matches --expect-bug. *)
+let replay_cmd ~structs ~n ~ops ~seed ~mix ~faults ~tail ~expect_bug sched =
+  let ( let* ) = Result.bind in
+  let scenario =
+    let* structure =
+      match structs with
+      | [ (s : Scu.Checkable.t) ] -> Ok s.name
+      | _ -> Error "--replay needs exactly one --structures name"
+    in
+    let* () =
+      if faults.Sched.Fault_plan.rates <> Sched.Fault_plan.zero_rates then
+        Error
+          "--replay needs an explicit fault plan (events and casfail:P=R \
+           entries only, no ~rates)"
+      else Ok ()
+    in
+    let* tail =
+      match tail with
+      | "stop" -> Ok Check.Schedule.Stop
+      | "round-robin" -> Ok Check.Schedule.Round_robin
+      | other ->
+          Error
+            (Printf.sprintf "unknown --tail %S (want stop or round-robin)"
+               other)
+    in
+    let* schedule =
+      match Sched.Scheduler.replay_of_string sched with
+      | schedule -> Ok schedule
+      | exception Invalid_argument msg ->
+          let prefix = "Scheduler.replay_of_string: " in
+          let k = String.length prefix in
+          Error
+            ("--replay: "
+            ^
+            if String.starts_with ~prefix msg then
+              String.sub msg k (String.length msg - k)
+            else msg)
+    in
+    let scn =
+      Scenario.make ~n ~ops ~seed ?mix_seed:mix ~faults
+        ~sources:[ Scenario.Replay { schedule; tail } ]
+        ~gates:[ Scenario.Lin ] ~structures:[ structure ] ()
+    in
+    Result.map (fun () -> scn) (Scenario.validate scn)
+  in
+  match scenario with
+  | Error msg -> `Error (false, msg)
+  | Ok scn ->
+      let bad = ref false in
+      let on_event = function
+        | Scenario.Replay_done { structure; outcome } ->
+            Printf.printf "%s: %s\n  effective schedule: %s\n" structure
+              (Check.Schedule.verdict_to_string outcome.verdict)
+              (Sched.Scheduler.replay_to_string outcome.executed);
+            bad := Check.Schedule.is_bad outcome.verdict
+        | _ -> ()
+      in
+      ignore (Scenario.run ~on_event ~now scn : Scenario.outcome);
+      if !bad = expect_bug then `Ok () else exit 1
+
 (* `repro check`: schedule exploration (bounded exhaustive
    interleavings), schedule fuzzing (random + adversarial, with
    shrinking) and statistical conformance gates, over the structures
@@ -889,43 +952,14 @@ let check_cmd =
           List.map (fun (s : Scu.Checkable.t) -> s.name) structs
         in
         match replay with
-        | Some sched_string -> (
-            match structs with
-            | [ structure ] ->
-                let schedule =
-                  Sched.Scheduler.replay_of_string sched_string
-                in
-                let tail_mode =
-                  if tail = "round-robin" then Check.Schedule.Round_robin
-                  else Check.Schedule.Stop
-                in
-                let scn =
-                  Scenario.make ~n ~ops ~seed ?mix_seed:mix
-                    ~faults:
-                      {
-                        Sched.Fault_plan.base = crash_plan;
-                        rates = Sched.Fault_plan.zero_rates;
-                      }
-                    ~sources:
-                      [ Scenario.Replay { schedule; tail = tail_mode } ]
-                    ~gates:[ Scenario.Lin ]
-                    ~structures:[ structure.Scu.Checkable.name ]
-                    ()
-                in
-                let bad = ref false in
-                let on_event = function
-                  | Scenario.Replay_done { structure; outcome } ->
-                      Printf.printf "%s: %s\n  effective schedule: %s\n"
-                        structure
-                        (Check.Schedule.verdict_to_string outcome.verdict)
-                        (Sched.Scheduler.replay_to_string outcome.executed);
-                      bad := Check.Schedule.is_bad outcome.verdict
-                  | _ -> ()
-                in
-                ignore (Scenario.run ~on_event ~now scn : Scenario.outcome);
-                if !bad = expect_bug then `Ok ()
-                else exit 1
-            | _ -> `Error (false, "--replay needs exactly one --structures name"))
+        | Some sched ->
+            replay_cmd ~structs ~n ~ops ~seed ~mix
+              ~faults:
+                {
+                  Sched.Fault_plan.base = crash_plan;
+                  rates = Sched.Fault_plan.zero_rates;
+                }
+              ~tail ~expect_bug sched
         | None ->
             let sources =
               (if List.mem "explore" modes then [ Scenario.Explore ] else [])
@@ -955,6 +989,9 @@ let check_cmd =
                   }
                 ~sources ~gates ~budget ~structures:names ()
             in
+            match Scenario.validate scn with
+            | Error msg -> `Error (false, msg)
+            | Ok () ->
             let on_event = function
               | Scenario.Explore_done { structure; report = r; elapsed } ->
                   Printf.printf
@@ -1087,52 +1124,23 @@ let chaos_cmd =
         | Error msg -> `Error (false, "--faults: " ^ msg)
         | Ok () -> (
             match replay with
-            | Some sched_string -> (
-                match structs with
-                | [ structure ] ->
-                    if spec.Sched.Fault_plan.rates <> Sched.Fault_plan.zero_rates
-                    then
-                      `Error
-                        ( false,
-                          "--replay needs an explicit fault plan (events and \
-                           casfail:P=R entries only, no ~rates)" )
-                    else begin
-                      let schedule =
-                        Sched.Scheduler.replay_of_string sched_string
-                      in
-                      let scn =
-                        Scenario.make ~n ~ops ~seed ?mix_seed:mix ~faults:spec
-                          ~sources:
-                            [
-                              Scenario.Replay
-                                {
-                                  schedule;
-                                  tail = Check.Schedule.Round_robin;
-                                };
-                            ]
-                          ~gates:[ Scenario.Lin ]
-                          ~structures:[ structure.Scu.Checkable.name ]
-                          ()
-                      in
-                      let bad = ref false in
-                      let on_event = function
-                        | Scenario.Replay_done { structure; outcome } ->
-                            Printf.printf "%s: %s\n  effective schedule: %s\n"
-                              structure
-                              (Check.Schedule.verdict_to_string outcome.verdict)
-                              (Sched.Scheduler.replay_to_string
-                                 outcome.executed);
-                            bad := Check.Schedule.is_bad outcome.verdict
-                        | _ -> ()
-                      in
-                      ignore
-                        (Scenario.run ~on_event ~now scn : Scenario.outcome);
-                      if !bad = expect_bug then `Ok () else exit 1
-                    end
-                | _ ->
-                    `Error (false, "--replay needs exactly one --structures name"))
-            | None ->
-                let config = { Check.Chaos.default with trials; seed } in
+            | Some sched ->
+                replay_cmd ~structs ~n ~ops ~seed ~mix ~faults:spec
+                  ~tail:"round-robin" ~expect_bug sched
+            | None -> (
+                let scn =
+                  Scenario.make ~n ~ops ~seed ~faults:spec
+                    ~sources:[ Scenario.Chaos ]
+                    ~gates:[ Scenario.Lin ]
+                    ~budget:
+                      { Scenario.standard.budget with chaos_trials = trials }
+                    ~structures:
+                      (List.map (fun (s : Scu.Checkable.t) -> s.name) structs)
+                    ()
+                in
+                match Scenario.validate scn with
+                | Error msg -> `Error (false, msg)
+                | Ok () ->
                 let violations = ref 0 in
                 let artifact_id = ref 0 in
                 let manifest =
@@ -1168,19 +1176,6 @@ let chaos_cmd =
                     out
                 in
                 let t0 = now () in
-                let scn =
-                  Scenario.make ~n ~ops ~seed ~faults:spec
-                    ~sources:[ Scenario.Chaos ]
-                    ~gates:[ Scenario.Lin ]
-                    ~budget:
-                      {
-                        Scenario.standard.budget with
-                        chaos_trials = config.trials;
-                      }
-                    ~structures:
-                      (List.map (fun (s : Scu.Checkable.t) -> s.name) structs)
-                    ()
-                in
                 let on_event = function
                   | Scenario.Chaos_done { structure; report = r; elapsed } ->
                       Printf.printf "[chaos]   %-14s trials=%d failures=%d\n"
@@ -1231,7 +1226,7 @@ let chaos_cmd =
                 Printf.printf "chaos: %d violation(s) across %d structure(s)%s\n"
                   !violations (List.length structs)
                   (if expect_bug then " (expecting a bug)" else "");
-                if ok then `Ok () else exit 1))
+                if ok then `Ok () else exit 1)))
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(

@@ -19,9 +19,6 @@ type config = {
   max_len : int;
   sched_steps : int;
   seed : int;
-  crashes : bool;
-  faults : bool;
-  fault_spec : Sched.Fault_plan.spec option;
   gates : Schedule.gates;
 }
 
@@ -32,9 +29,6 @@ let default =
     max_len = 96;
     sched_steps = 2_000;
     seed = 0xC0FFEE;
-    crashes = true;
-    faults = false;
-    fault_spec = None;
     gates = Schedule.default_gates;
   }
 
@@ -44,7 +38,6 @@ type failure = {
   schedule : int array;
   replay : string;
   crash_plan : (int * int) list;
-  fault_spec : string;
   mix_seed : int option;
   verdict : string;
 }
@@ -70,15 +63,13 @@ let sanitize_crashes ~n events =
       end)
     events
 
-let mk_failure ?(fault_spec = "") ~structure ~source ~crash_events ~mix_seed
-    ~verdict schedule =
+let mk_failure ~structure ~source ~crash_events ~mix_seed ~verdict schedule =
   {
     structure = structure.Checkable.name;
     source;
     schedule;
     replay = Sched.Scheduler.replay_to_string schedule;
     crash_plan = crash_events;
-    fault_spec;
     mix_seed;
     verdict;
   }
@@ -89,7 +80,7 @@ let qcheck_source ~structure ~n ~ops ~config =
     let open Gen in
     let sched = list_size (int_range 1 config.max_len) (int_range 0 (n - 1)) in
     let crash =
-      if config.crashes && n >= 2 then
+      if n >= 2 then
         list_size (int_range 0 (n - 1))
           (pair (int_range 0 config.max_len) (int_range 0 (n - 1)))
       else pure []
@@ -195,44 +186,11 @@ let scheduler_source ~structure ~n ~ops ~config =
     (adversaries ~n);
   List.rev !failures
 
-(* Chaos pass: delegate to {!Chaos} — default mixed fault spec unless
-   the config carries its own — and adapt its failures to this
-   module's report shape. *)
-let chaos_source ~structure ~n ~ops ~config =
-  if not config.faults then ([], 0)
-  else begin
-    let chaos_config =
-      { Chaos.default with seed = config.seed; gates = config.gates }
-    in
-    let spec =
-      Option.value config.fault_spec ~default:Chaos.default_spec
-    in
-    let report = Chaos.run ~config:chaos_config ~spec ~structure ~n ~ops () in
-    ( List.map
-        (fun (f : Chaos.failure) ->
-          {
-            structure = f.structure;
-            source = "chaos";
-            schedule = f.schedule;
-            replay = f.replay;
-            crash_plan = [];
-            fault_spec = f.fault_spec;
-            mix_seed = Some f.mix_seed;
-            verdict = f.verdict;
-          })
-        report.failures,
-      report.trials )
-  end
-
 let fuzz ?(config = default) ~structure ~n ~ops () =
   let qc = qcheck_source ~structure ~n ~ops ~config in
   let sc = scheduler_source ~structure ~n ~ops ~config in
-  let ch, chaos_trials = chaos_source ~structure ~n ~ops ~config in
   {
     structure = structure.Checkable.name;
-    trials =
-      config.trials
-      + (config.sched_trials * List.length (adversaries ~n))
-      + chaos_trials;
-    failures = qc @ sc @ ch;
+    trials = config.trials + (config.sched_trials * List.length (adversaries ~n));
+    failures = qc @ sc;
   }

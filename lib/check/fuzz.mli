@@ -7,7 +7,11 @@
     adversarial schedulers (zipf, quantum, weakly-fair starver, ...)
     drive traced runs whose traces are replayed and minimized the same
     way on failure.  Every reported failure replays byte-for-byte via
-    [Schedule.run] or `repro check --replay`. *)
+    [Schedule.run] or `repro check --replay`.
+
+    There is no fault-rate pass here: crash–recovery, stall and
+    spurious-CAS drills are {!Chaos}, which [Scenario] runs as a
+    source of its own. *)
 
 type config = {
   trials : int;  (** QCheck cases per structure. *)
@@ -15,15 +19,6 @@ type config = {
   max_len : int;  (** Longest generated schedule prefix. *)
   sched_steps : int;  (** Step budget of scheduler-driven runs. *)
   seed : int;  (** Master seed; all randomness derives from it. *)
-  crashes : bool;  (** Also generate crash plans (n >= 2). *)
-  faults : bool;
-      (** Also run a {!Chaos} pass (random fault plans with
-          crash–recovery, stalls, spurious CAS) under [fault_spec] (or
-          {!Chaos.default_spec}).  Off by default. *)
-  fault_spec : Sched.Fault_plan.spec option;
-      (** Fault-rate spec for the chaos pass; [None] means
-          {!Chaos.default_spec}.  Lets scenario presets carry their own
-          rate tiers through the fuzzer unchanged. *)
   gates : Schedule.gates;
       (** Judges applied to every trial (see {!Schedule.gates}). *)
 }
@@ -32,13 +27,11 @@ val default : config
 
 type failure = {
   structure : string;
-  source : string;  (** ["qcheck"], ["chaos"], or the adversary's name. *)
+  source : string;  (** ["qcheck"] or the adversary's name. *)
   schedule : int array;  (** Minimal failing schedule. *)
   replay : string;  (** {!Sched.Scheduler.replay_to_string} form. *)
   crash_plan : (int * int) list;
-  fault_spec : string;
-      (** Shrunk fault plan in [--faults] grammar ([""] for non-chaos
-          sources). *)
+      (** The qcheck source's crash plan (generated when n >= 2). *)
   mix_seed : int option;
   verdict : string;
 }

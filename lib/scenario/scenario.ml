@@ -642,7 +642,7 @@ let run ?(on_event = fun _ -> ()) ?(now = fun () -> 0.) t =
                       schedule = f.schedule;
                       replay = f.replay;
                       crash_plan = f.crash_plan;
-                      fault_spec = f.fault_spec;
+                      fault_spec = "";
                       mix_seed = f.mix_seed;
                       tail =
                         (if f.source = "qcheck" then "round-robin" else "stop");

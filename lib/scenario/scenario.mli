@@ -19,8 +19,8 @@ type source =
   | Explore  (** Bounded exhaustive interleaving enumeration ({!Check.Explore}). *)
   | Fuzz
       (** Random + adversarial schedule fuzzing with shrinking
-          ({!Check.Fuzz}; crash plans on, chaos pass off — fault-rate
-          drills are the [Chaos] source's job). *)
+          ({!Check.Fuzz}, with crash plans; fault-rate drills are the
+          [Chaos] source's job). *)
   | Chaos
       (** Random schedules under fault plans instantiated from the
           scenario's [faults] rates ({!Check.Chaos}). *)

@@ -7,18 +7,27 @@
     structure's sequential specification as a check closure, and a
     structural invariant for the executor's [invariant] hook.
 
-    The list includes deliberately broken variants ([buggy = true])
-    whose scan-validate CAS is replaced by a blind write — the
-    canonical lost-update bugs the checker is expected to catch:
-    duplicate counter values, lost pushes / double pops, double
-    dequeues.
+    {b Adding a structure} takes one record and one list entry in
+    [checkable.ml].  The record gives the sequential spec, whether the
+    operations are all increments or come from the add/take plan, and
+    a [build] that lays the structure out in a fresh memory and
+    returns its operation, an optional crash-recovery settlement and
+    its invariant.  [instantiate "name" record] derives the recorder,
+    the plan, the recovery-safe program loop and the {!instance}; list
+    it in {!stock}, {!all} or {!mutants}.  A [build] must allocate its
+    cells (and draw any randomness) in a fixed order: the explorer
+    hashes [Sim.Memory.snapshot] to prune states, and the goldens pin
+    its node counts.
 
     The non-trivial stock entries are the elimination stack (a push
     crashed while parked in an exchange slot is settled on recovery by
     a CAS-withdraw-or-complete protocol; a pop is marked linearized at
     its grab CAS) and the wait-free helping counter (recovery-safe by
     idempotence: sequence numbers derive from the plan cursor, so a
-    re-run re-announces the same request). *)
+    re-run re-announces the same request).  The helping counter's
+    increments return [Done] — a helper may apply a batch of requests
+    in one CAS — so its checking power is its invariant (published
+    blocks satisfy value = Σ applied, never regressing). *)
 
 type op = Add of int | Take | Incr
 (** [Add]/[Take] are push/pop (stack) or enqueue/dequeue (queue);
@@ -27,24 +36,13 @@ type op = Add of int | Take | Incr
 
 type res = Done | Took of int | Took_empty | Got of int
 
-val op_to_string : op -> string
-val res_to_string : res -> string
 val event_to_string : (op, res) Linearize.Checker.event -> string
 
-val counter_spec : (op, res, int) Linearize.Checker.spec
 val stack_spec : (op, res, int list) Linearize.Checker.spec
 
 val queue_spec : (op, res, int list) Linearize.Checker.spec
 (** Sequential specifications, exposed so tests can cross-validate the
     check closures below against {!Linearize.Checker.check_brute}. *)
-
-val wf_counter_spec : (op, res, int) Linearize.Checker.spec
-(** The helping counter's spec: [Incr] returns [Done] (a helper may
-    apply a batch of requests in one CAS, so per-request return values
-    are undefined by the construction).  Histories of [Done]s are
-    trivially linearizable — the wait-free counter's checking power is
-    its invariant (published blocks satisfy value = Σ applied, never
-    regressing), not this spec. *)
 
 type instance = {
   spec : Sim.Executor.spec;
@@ -64,10 +62,6 @@ type instance = {
           certain: the history builder may include it, and on
           crash–recovery the re-entry preamble completes it instead of
           re-running it. *)
-  restarts : unit -> int array;
-      (** Crash–recovery restarts each process's body has observed
-          (all zeros unless the run used a fault plan with [Restart]
-          events). *)
   check : (op, res) Linearize.Checker.event list -> bool;
       (** Linearizability against this structure's sequential spec. *)
   shadow :
@@ -87,7 +81,6 @@ type instance = {
 
 type t = {
   name : string;
-  buggy : bool;
   make : n:int -> ops:int -> ?mix_seed:int -> unit -> instance;
       (** Bounded workload: every process performs [ops] operations
           and terminates.  Deterministic for a given [mix_seed] (or
@@ -95,10 +88,15 @@ type t = {
           the schedule is the only nondeterminism. *)
 }
 
-val all : t list
-
 val stock : t list
-(** The non-buggy structures. *)
+(** The correct structures. *)
+
+val all : t list
+(** {!stock} followed by the seeded lost-update mutants
+    [counter-nocas], [treiber-nocas] and [msqueue-nocas], each its
+    parent's constructor with the scan-validate CAS swapped for a
+    blind write: duplicate counter values, lost pushes / double pops,
+    double dequeues. *)
 
 val mutants : t list
 (** Drill variants kept out of {!all} so `--structures all` sweeps are

@@ -1,7 +1,8 @@
 (* Tests for lib/check: the schedule-replay substrate, the bounded
    exhaustive explorer (which must catch every seeded bug and certify
-   every stock structure clean), the fuzzer with shrinking, and the
-   statistical conformance gates. *)
+   every stock structure clean), the fuzzer with shrinking, digests
+   pinning what every Checkable structure does, and the statistical
+   conformance gates. *)
 
 open Core
 
@@ -268,12 +269,137 @@ let test_chaos_deterministic () =
   in
   Alcotest.(check bool) "same failures both runs" true (run () = run ())
 
+(* The fault-rate drill rides next to the fuzzer as a scenario source
+   of its own: a [Fuzz; Chaos] scenario reports chaos failures. *)
 let test_fuzz_faults_flag_adds_chaos_source () =
-  let config = { fuzz_config with Check.Fuzz.trials = 30; faults = true } in
-  let r = fuzz ~config "counter-nocas" ~n:3 ~ops:2 in
+  let scn =
+    Scenario.make ~n:3 ~ops:2 ~seed:Test_util.seed
+      ~faults:Check.Chaos.default_spec
+      ~sources:[ Scenario.Fuzz; Scenario.Chaos ]
+      ~gates:[ Scenario.Lin ]
+      ~budget:
+        {
+          Scenario.standard.budget with
+          fuzz_trials = 30;
+          chaos_trials = Check.Chaos.default.trials;
+        }
+      ~structures:[ "counter-nocas" ] ()
+  in
+  let r = Scenario.run scn in
   Alcotest.(check bool)
     "chaos source contributes failures" true
-    (List.exists (fun (f : Check.Fuzz.failure) -> f.source = "chaos") r.failures)
+    (List.exists (fun (f : Scenario.failure) -> f.source = "chaos") r.failures)
+
+(* -- Pinned behaviour ------------------------------------------------ *)
+
+(* Verdict tests cannot see a refactor that reorders a structure's
+   allocations or RNG draws: every run still judges clean or buggy.
+   This table pins what each structure actually does — one digest per
+   (structure, mix seed, fault plan) of the executor fingerprint (or
+   the invariant's failure), the recorded history and the final
+   memory — under a crash/restart/spurious-CAS plan and fault-free. *)
+
+let pinned_faults =
+  match
+    Sched.Fault_plan.parse_spec
+      "crash@5:1,restart@9:1,crash@14:2,restart@20:2,casfail:*=0.3"
+  with
+  | Ok spec -> spec.Sched.Fault_plan.base
+  | Error msg -> failwith msg
+
+let pinned_digest (s : Scu.Checkable.t) ~mix_seed ~fault_plan =
+  let inst = s.make ~n:4 ~ops:3 ?mix_seed () in
+  let config =
+    Sim.Executor.Config.(
+      default |> with_seed 3 |> with_trace true |> with_faults fault_plan
+      |> with_invariant ~interval:1 inst.invariant)
+  in
+  let outcome =
+    match
+      Sim.Executor.exec ~config ~scheduler:Sched.Scheduler.uniform ~n:4
+        ~stop:(Steps 20_000) inst.spec
+    with
+    | r -> Sim.Executor.fingerprint r
+    | exception Failure msg -> "invariant: " ^ msg
+  in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          ((outcome :: List.map Scu.Checkable.event_to_string (inst.events ()))
+          @ List.map string_of_int
+              (Array.to_list (Sim.Memory.snapshot inst.spec.memory)))))
+
+(* The reference digests.  A change that means to alter a structure's
+   behaviour recaptures them from its parent's build, never from its
+   own. *)
+let pinned =
+  [
+    ("cas-counter mix=none fault-free", "49d95ba0e4a79ad2ee13b3f25cda2ff4");
+    ("cas-counter mix=none faulted", "aba2d85cbd604d7128ba4a4c1d1db9a1");
+    ("cas-counter mix=7 fault-free", "49d95ba0e4a79ad2ee13b3f25cda2ff4");
+    ("cas-counter mix=7 faulted", "aba2d85cbd604d7128ba4a4c1d1db9a1");
+    ("faa-counter mix=none fault-free", "276739b1dd9d49070b9e667aef2f1d44");
+    ("faa-counter mix=none faulted", "61e5d5a23337883eceb8e70509cd3a75");
+    ("faa-counter mix=7 fault-free", "276739b1dd9d49070b9e667aef2f1d44");
+    ("faa-counter mix=7 faulted", "61e5d5a23337883eceb8e70509cd3a75");
+    ("treiber mix=none fault-free", "b49f43829c22e569ad42191898616be7");
+    ("treiber mix=none faulted", "124f507ce9520ec215aed5132db7e0f5");
+    ("treiber mix=7 fault-free", "a14c8b7120cf5d0f75b5977dbfaa7d6b");
+    ("treiber mix=7 faulted", "e0748b36ebf98ec078c6b536134c4001");
+    ("msqueue mix=none fault-free", "2138963082274b0bfd3f50d363ed8429");
+    ("msqueue mix=none faulted", "700c302f48d583814a62092925b000bb");
+    ("msqueue mix=7 fault-free", "eadc1befcc15541d8a9f16a15e565647");
+    ("msqueue mix=7 faulted", "6677963712f2eec57f653d0919053be5");
+    ("elimination-stack mix=none fault-free", "c2049004671572e1aa2b5650cfe7fe30");
+    ("elimination-stack mix=none faulted", "f85269a91d6bbd97936ad7e796ed9cb5");
+    ("elimination-stack mix=7 fault-free", "d4f2e47a63e11ff2dcb3505101463632");
+    ("elimination-stack mix=7 faulted", "446ad6753edbe906002564ce4b9a7f0e");
+    ("waitfree-counter mix=none fault-free", "e35754e94add3366217d43bbae28da44");
+    ("waitfree-counter mix=none faulted", "0dd265854cbc613d8398fd6daf70bee0");
+    ("waitfree-counter mix=7 fault-free", "e35754e94add3366217d43bbae28da44");
+    ("waitfree-counter mix=7 faulted", "0dd265854cbc613d8398fd6daf70bee0");
+    ("counter-nocas mix=none fault-free", "f78317dfa51f9049f74d491ed3602500");
+    ("counter-nocas mix=none faulted", "eeb2b0e55e1f45dbb655088e4ff18a4c");
+    ("counter-nocas mix=7 fault-free", "f78317dfa51f9049f74d491ed3602500");
+    ("counter-nocas mix=7 faulted", "eeb2b0e55e1f45dbb655088e4ff18a4c");
+    ("treiber-nocas mix=none fault-free", "f82c8cba50b187b54c09f8655da870a4");
+    ("treiber-nocas mix=none faulted", "bfc58a37f03544e8fcd96f2567ca5f91");
+    ("treiber-nocas mix=7 fault-free", "51de2de0efec7d7e063ea483d80c1fcd");
+    ("treiber-nocas mix=7 faulted", "a75242ead83c12389d50dca9099af710");
+    ("msqueue-nocas mix=none fault-free", "5c136702204bb7b5aeff534af0381d05");
+    ("msqueue-nocas mix=none faulted", "840fb505ce64101e90b5edbef831f15d");
+    ("msqueue-nocas mix=7 fault-free", "38ce68376d35b55fe37b53e742329378");
+    ("msqueue-nocas mix=7 faulted", "99917232ac48b0d66e4d4b7edacaa296");
+    ("counter-misreport mix=none fault-free", "7aee9822dc9185073857c57cdd574833");
+    ("counter-misreport mix=none faulted", "d9087a6ecabd4f74a9c904663d1f35eb");
+    ("counter-misreport mix=7 fault-free", "7aee9822dc9185073857c57cdd574833");
+    ("counter-misreport mix=7 faulted", "d9087a6ecabd4f74a9c904663d1f35eb");
+  ]
+
+let test_pinned_behaviour () =
+  let actual =
+    List.concat_map
+      (fun (s : Scu.Checkable.t) ->
+        List.concat_map
+          (fun mix_seed ->
+            List.map
+              (fun (label, fault_plan) ->
+                ( Printf.sprintf "%s mix=%s %s" s.name
+                    (match mix_seed with
+                    | None -> "none"
+                    | Some m -> string_of_int m)
+                    label,
+                  pinned_digest s ~mix_seed ~fault_plan ))
+              [ ("fault-free", Sched.Fault_plan.none); ("faulted", pinned_faults) ])
+          [ None; Some 7 ])
+      (Scu.Checkable.all @ [ find "counter-misreport" ])
+  in
+  Alcotest.(check int) "40 runs" 40 (List.length actual);
+  List.iter2
+    (fun (label, want) (label', got) ->
+      Alcotest.(check string) "same run" label label';
+      Alcotest.(check string) label want got)
+    pinned actual
 
 (* -- Conformance gates ---------------------------------------------- *)
 
@@ -334,6 +460,11 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_chaos_deterministic;
           Alcotest.test_case "fuzz --faults adds chaos source" `Quick
             test_fuzz_faults_flag_adds_chaos_source;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "structure behaviour digests" `Quick
+            test_pinned_behaviour;
         ] );
       ("conform", [ Alcotest.test_case "smoke gates" `Quick test_conform_smoke ]);
     ]

@@ -235,6 +235,27 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
+(* [repro <args>] must die as a cmdliner usage error: exit 124, one
+   stderr line naming [needle], nothing on stdout.  An exception that
+   escapes to cmdliner exits 125 with "internal error, uncaught
+   exception"; its "Raised at" backtrace only shows under
+   OCAMLRUNPARAM=b, so its absence proves nothing. *)
+let check_usage_error dir label args needle =
+  let code, out, err = run dir args in
+  Alcotest.(check int) (label ^ ": exit 124; stderr: " ^ err) 124 code;
+  Alcotest.(check bool)
+    (label ^ ": no uncaught exception")
+    false
+    (contains err "uncaught exception");
+  Alcotest.(check string) (label ^ ": nothing ran") "" out;
+  Alcotest.(check int)
+    (label ^ ": one-line error")
+    1
+    (List.length (String.split_on_char '\n' (String.trim err)));
+  Alcotest.(check bool)
+    (label ^ ": names " ^ needle ^ "; stderr: " ^ err)
+    true (contains err needle)
+
 (* -- repro chaos ----------------------------------------------------- *)
 
 let test_chaos_deterministic_stdout () =
@@ -274,6 +295,32 @@ let test_chaos_violation_drill () =
       in
       Alcotest.(check bool) "artifact records the fault plan" true
         (contains body "faults:");
+      (* The first printed reproduction command replays the violation:
+         the same verdict, and exit 1 without --expect-bug. *)
+      let lines = Array.of_list (String.split_on_char '\n' out) in
+      let first prefix =
+        let rec go i =
+          if String.starts_with ~prefix lines.(i) then i else go (i + 1)
+        in
+        go 0
+      in
+      let block = first "VIOLATION [" and replay = first "  replay: repro " in
+      let verdict =
+        String.trim
+          (String.concat "\n"
+             (Array.to_list (Array.sub lines (block + 3) (replay - block - 3))))
+      in
+      let code, replayed, err =
+        run dir
+          (String.sub lines.(replay) 16 (String.length lines.(replay) - 16))
+      in
+      Alcotest.(check int) ("replay exits 1; stderr: " ^ err) 1 code;
+      Alcotest.(check bool)
+        ("replay reproduces the verdict: " ^ replayed)
+        true
+        (String.starts_with
+           ~prefix:("counter-nocas: " ^ verdict ^ "\n  effective schedule: ")
+           replayed);
       (* Without --expect-bug the same run must exit 1. *)
       let code, _, _ =
         run dir
@@ -293,43 +340,44 @@ let test_chaos_manifest_records_faults () =
 
 let test_chaos_validation_errors () =
   with_scratch_dir (fun dir ->
+      let rejected = check_usage_error dir in
       (* Out-of-range process id: one-line error, not a raw exception. *)
-      let code, out, err = run dir "chaos -n 3 --faults crash@0:7 --no-sweep" in
-      Alcotest.(check bool) "bad proc id: nonzero exit" true (code <> 0);
-      Alcotest.(check string) "bad proc id: nothing ran" "" out;
-      Alcotest.(check bool) "bad proc id: one-line error" true
-        (contains err "out of range" && not (contains err "Raised at"));
+      rejected "bad proc id" "chaos -n 3 --faults crash@0:7 --no-sweep"
+        "out of range";
       (* Crashing every process permanently is rejected up front. *)
-      let code, _, err =
-        run dir "chaos -n 2 --faults crash@0:0,crash@0:1 --no-sweep"
-      in
-      Alcotest.(check bool) "all-crash: nonzero exit" true (code <> 0);
-      Alcotest.(check bool) "all-crash: named" true
-        (contains err "all processes would crash");
+      rejected "all-crash" "chaos -n 2 --faults crash@0:0,crash@0:1 --no-sweep"
+        "all processes would crash";
       (* Unknown token names itself. *)
-      let code, _, err = run dir "chaos --faults wibble --no-sweep" in
-      Alcotest.(check bool) "bad token: nonzero exit" true (code <> 0);
-      Alcotest.(check bool) "bad token: named" true (contains err "wibble"))
+      rejected "bad token" "chaos --faults wibble --no-sweep" "wibble";
+      (* A --replay schedule is parsed (under an explicit plan) before
+         anything runs, and an empty structure list is refused. *)
+      rejected "bad replay pid"
+        "chaos --structures treiber --replay 0,x --faults none --no-sweep"
+        "--replay: bad process id \"x\"";
+      rejected "empty structures" "chaos --structures '' --no-sweep"
+        "scenario has no structures")
 
 let test_check_crash_validation () =
   with_scratch_dir (fun dir ->
-      let code, out, err =
-        run dir
-          "check --structures cas-counter -n 3 --ops 2 --replay 0,1,2 --crash \
-           0:9"
-      in
-      Alcotest.(check bool) "out-of-range crash: nonzero exit" true (code <> 0);
-      Alcotest.(check string) "nothing ran" "" out;
-      Alcotest.(check bool) "one-line error" true
-        (contains err "out of range" && not (contains err "Raised at"));
-      let code, _, err =
-        run dir
-          "check --structures cas-counter -n 2 --ops 2 --replay 0,1 --crash \
-           0:0,0:1"
-      in
-      Alcotest.(check bool) "all-crash: nonzero exit" true (code <> 0);
-      Alcotest.(check bool) "all-crash named" true
-        (contains err "all processes would crash"))
+      let rejected = check_usage_error dir in
+      rejected "out-of-range crash"
+        "check --structures cas-counter -n 3 --ops 2 --replay 0,1,2 --crash 0:9"
+        "out of range";
+      rejected "all-crash"
+        "check --structures cas-counter -n 2 --ops 2 --replay 0,1 --crash \
+         0:0,0:1"
+        "all processes would crash";
+      (* Malformed --replay, --tail and --structures values. *)
+      rejected "bad replay pid" "check --structures treiber --replay x"
+        "--replay: bad process id \"x\"";
+      rejected "empty replay" "check --structures treiber --replay ''"
+        "--replay: empty schedule";
+      rejected "bad tail" "check --structures treiber --replay 0,1 --tail bogus"
+        "unknown --tail \"bogus\"";
+      rejected "empty structures" "check --structures ''"
+        "scenario has no structures";
+      rejected "comma structures" "check --structures ,"
+        "scenario has no structures")
 
 let test_load_bad_ns_rejected () =
   (* Regression: a typo in --ns used to be parsed to the empty list,
@@ -338,14 +386,7 @@ let test_load_bad_ns_rejected () =
      exit with a usage error in both cases. *)
   with_scratch_dir (fun dir ->
       let check_rejected label args =
-        let code, out, err = run dir args in
-        Alcotest.(check bool) (label ^ ": nonzero exit") true (code <> 0);
-        Alcotest.(check string) (label ^ ": nothing ran") "" out;
-        Alcotest.(check bool)
-          (label ^ ": names the bad token (stderr: " ^ err ^ ")")
-          true
-          (contains err "\"x\" is not an integer worker count"
-          && not (contains err "Raised at"))
+        check_usage_error dir label args "\"x\" is not an integer worker count"
       in
       check_rejected "without --slo" "load --clients 2 --ops 1 --ns 2,4,x";
       check_rejected "with --slo"
@@ -355,18 +396,10 @@ let test_check_bad_crash_spec_rejected () =
   (* Regression: the T:P parser's catch-all turned every malformed
      --crash into the same message.  It must name the bad component. *)
   with_scratch_dir (fun dir ->
-      let code, out, err =
-        run dir
-          "check --structures cas-counter -n 2 --ops 2 --replay 0,1 --crash \
-           5:1,bogus"
-      in
-      Alcotest.(check bool) "nonzero exit" true (code <> 0);
-      Alcotest.(check string) "nothing ran" "" out;
-      Alcotest.(check bool)
-        ("names the bad component (stderr: " ^ err ^ ")")
-        true
-        (contains err "component \"bogus\" is not T:P"
-        && not (contains err "Raised at"));
+      check_usage_error dir "bad component"
+        "check --structures cas-counter -n 2 --ops 2 --replay 0,1 --crash \
+         5:1,bogus"
+        "component \"bogus\" is not T:P";
       (* A spec with the right shape but a non-integer field. *)
       let code, _, err =
         run dir
@@ -538,15 +571,7 @@ let test_load_outage_drill () =
 
 let test_load_policy_flags_validated () =
   with_scratch_dir (fun dir ->
-      let rejected label args needle =
-        let code, out, err = run dir args in
-        Alcotest.(check bool) (label ^ ": nonzero exit") true (code <> 0);
-        Alcotest.(check string) (label ^ ": nothing ran") "" out;
-        Alcotest.(check bool)
-          (label ^ ": names the defect (stderr: " ^ err ^ ")")
-          true
-          (contains err needle && not (contains err "Raised at"))
-      in
+      let rejected = check_usage_error dir in
       rejected "retries without deadline"
         "load --clients 10 --retries 2 --no-progress" "retries need a deadline";
       rejected "bad fault token"
@@ -656,13 +681,8 @@ let test_scenario_shadow_drill () =
 
 let test_scenario_bad_spec_rejected () =
   with_scratch_dir (fun dir ->
-      let code, out, err = run dir "scenario --spec 'n=two'" in
-      Alcotest.(check bool) "nonzero exit" true (code <> 0);
-      Alcotest.(check string) "nothing ran" "" out;
-      Alcotest.(check bool)
-        ("names the bad token (stderr: " ^ err ^ ")")
-        true
-        (contains err "bad --spec token" && not (contains err "Raised at"));
+      check_usage_error dir "bad token" "scenario --spec 'n=two'"
+        "bad --spec token";
       let code, _, err = run dir "scenario --preset quick --spec 'n=2'" in
       Alcotest.(check bool) "--preset+--spec rejected" true (code <> 0);
       Alcotest.(check bool) "mutual exclusion named" true
