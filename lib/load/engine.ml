@@ -57,13 +57,12 @@ let default =
 
 (* A base plan that permanently crashes every worker is a *total
    outage*: {!Fault_plan.validate} rejects it, but the service layer
-   accepts it deliberately — each shard detects it and degrades to an
-   all-dropped, stopped-early result instead of running, so the outage
-   drill surfaces as exit 1 with a manifest rather than an exception.
-   (Rate-generated plans always keep a survivor, so only explicit
-   events can cause this.) *)
-let outage_plan ~workers plan = Fault_plan.survivors ~n:workers plan = 0
-
+   accepts it deliberately — each shard detects it ([Fault_plan.outage])
+   and degrades to an all-dropped, stopped-early result instead of
+   running, so the outage drill surfaces as exit 1 with a manifest
+   rather than an exception.  (Rate-generated plans always keep a
+   survivor, so only explicit events can cause this, and a shard plan
+   without them is not expanded to find out.) *)
 let validate cfg =
   if cfg.kinds = [] then Error "need at least one structure"
   else if cfg.objects < 1 then Error "need at least one object per structure"
@@ -81,9 +80,13 @@ let validate cfg =
         | Error msg -> Error ("policy: " ^ msg)
         | Ok () -> (
             let base = cfg.faults.Fault_plan.base in
-            match Fault_plan.validate ~n:cfg.workers base with
-            | Ok () -> Ok ()
-            | Error _ when outage_plan ~workers:cfg.workers base ->
+            match
+              ( Fault_plan.validate_rates cfg.faults.rates,
+                Fault_plan.validate ~n:cfg.workers base )
+            with
+            | Error msg, _ -> Error ("faults: " ^ msg)
+            | Ok (), Ok () -> Ok ()
+            | Ok (), Error _ when Fault_plan.outage ~n:cfg.workers base ->
                 (* Heal one process with a far-future restart and
                    re-validate: an outage is accepted, but only if the
                    plan has no *other* defect (bad ids, times, rates). *)
@@ -93,7 +96,7 @@ let validate cfg =
                      (Fault_plan.merge base
                         (Fault_plan.make
                            [ (max_int, Fault_plan.Restart 0) ])))
-            | Error msg -> Error ("faults: " ^ msg)))
+            | Ok (), Error msg -> Error ("faults: " ^ msg)))
 
 type shard_result = {
   shard : int;
@@ -256,11 +259,12 @@ let build_objset memory ~workers ~objects = function
           seqs = Array.init objects (fun _ -> Array.make workers 0);
         }
 
-(* How far into (step) time the rate part of the fault plan is
-   expanded.  Any pure function of (config, shard) keeps determinism;
-   64 steps per offered request covers every structure's service cost
-   with generous slack, while keeping instantiation linear in the
-   shard's real workload rather than in the 2e8-step safety net. *)
+(* The horizon of the rate part of a shard's fault plan: the times
+   its walk may emit events at.  Any pure function of (config, shard)
+   keeps determinism; 64 steps per offered request covers every
+   structure's service cost with generous slack.  The walk is expanded
+   only as far as the run reads it, so the horizon bounds where faults
+   can land, not what a shard pays up front. *)
 let fault_horizon cfg ~total = min cfg.max_steps ((64 * total) + 4096)
 
 let shard_plan cfg ~shard ~total =
@@ -302,7 +306,7 @@ let run_shard cfg ~shard =
       spurious_cas;
     }
   in
-  if total = 0 || outage_plan ~workers:cfg.workers plan then
+  if total = 0 || Fault_plan.outage ~n:cfg.workers plan then
     (* No request to serve, or a total outage where no worker ever
        can: return without simulating, every offered request dropped
        (and the shard stopped early unless it was empty). *)
@@ -445,25 +449,12 @@ let run_shard cfg ~shard =
         end
       done
     in
-    (* The step after which each worker is crashed for good under
-       [plan] (max_int if it always restarts or never crashes).  The
-       plan is engine-side data, so the load generator gets a perfect
-       failure detector: requests held by a permanently dead worker are
-       redelivered instead of waiting on a restart that never comes —
-       this is what keeps the [Completions] stop reachable for
-       faults-only runs with no deadline policy. *)
-    let dead_after =
-      let d = Array.make cfg.workers max_int in
-      Array.iter
-        (fun (time, e) ->
-          match e with
-          | Fault_plan.Crash p -> if p >= 0 && p < cfg.workers then d.(p) <- time
-          | Fault_plan.Restart p ->
-              if p >= 0 && p < cfg.workers then d.(p) <- max_int
-          | Fault_plan.Stall _ -> ())
-        (Fault_plan.events plan);
-      d
-    in
+    (* The plan is engine-side data, so the load generator gets a
+       perfect failure detector: requests held by a worker that is
+       crashed for good ([Fault_plan.down_for_good]) are redelivered
+       instead of waiting on a restart that never comes — this is what
+       keeps the [Completions] stop reachable for faults-only runs with
+       no deadline policy. *)
     let redeliver ~now ~w =
       let r = inflight.(w) in
       inflight.(w) <- dummy;
@@ -474,7 +465,8 @@ let run_shard cfg ~shard =
     in
     let rescue now =
       for w = 0 to cfg.workers - 1 do
-        if inflight.(w).rid >= 0 && now >= dead_after.(w) then redeliver ~now ~w
+        if inflight.(w).rid >= 0 && Fault_plan.down_for_good plan w ~now then
+          redeliver ~now ~w
       done
     in
     let exec_request (ctx : Program.ctx) ~kind r =

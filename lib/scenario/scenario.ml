@@ -470,7 +470,8 @@ let validate t =
   in
   Result.map_error
     (fun msg -> "faults: " ^ msg)
-    (Fault_plan.validate ~n:t.n t.faults.Fault_plan.base)
+    (let* () = Fault_plan.validate_rates t.faults.Fault_plan.rates in
+     Fault_plan.validate ~n:t.n t.faults.Fault_plan.base)
 
 (* Runner. *)
 

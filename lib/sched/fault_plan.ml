@@ -49,14 +49,36 @@ let tier_rates = function
   | "chaos" -> Some chaos_rates
   | _ -> None
 
+(* The rate part of a plan from [instantiate], expanded as it is read.
+   The walk visits times 0..horizon-1 and, within a time, processes
+   0..n-1, tracking which processes it has crashed so recover rates act
+   on crashed ones and at least one process always survives.  Before
+   walking a time it emits the explicit events due by then, so every
+   prefix is the prefix of the stable time sort of [base @ walked]. *)
+type walk = {
+  rates : rates;
+  n : int;
+  horizon : int;
+  rng : Stats.Rng.t;
+  crashed : bool array;
+  mutable crashed_count : int;
+  mutable step : int; (* the next time to walk *)
+  base : (int * event) array; (* explicit events, sorted by time *)
+  mutable base_next : int; (* the first one not yet emitted *)
+}
+
 type t = {
-  events : (int * event) array; (* sorted by time, stable *)
+  mutable events : (int * event) array; (* [0, len) known, sorted by time, stable *)
+  mutable len : int;
   spurious : (int option * float) list; (* (Some proc | None = all, rate) *)
+  mutable walk : walk option; (* the unexpanded rest, if any *)
+  seen : int array;
+      (* Per process of an instantiated plan: the time of its last
+         crash or restart in the known prefix (min_int if none)... *)
+  down : bool array; (* ...and whether that event is a crash. *)
 }
 
 type spec = { base : t; rates : rates }
-
-let none = { events = [||]; spurious = [] }
 
 let sort_events events =
   let arr = Array.of_list events in
@@ -64,22 +86,120 @@ let sort_events events =
   Array.stable_sort (fun (t1, _) (t2, _) -> compare t1 t2) arr;
   arr
 
-let make ?(spurious = []) events = { events = sort_events events; spurious }
+let make ?(spurious = []) events =
+  let events = sort_events events in
+  { events; len = Array.length events; spurious; walk = None; seen = [||]; down = [||] }
+
+let none = make []
 
 let of_crash_events crashes =
   make (List.map (fun (time, proc) -> (time, Crash proc)) crashes)
 
-let merge a b =
-  {
-    events = sort_events (Array.to_list a.events @ Array.to_list b.events);
-    spurious = a.spurious @ b.spurious;
-  }
+(* -- Expansion ------------------------------------------------------ *)
 
-let events t = Array.copy t.events
-let events_list t = Array.to_list t.events
+let push t ((time, e) as ev) =
+  if t.len = Array.length t.events then begin
+    let bigger = Array.make (max 64 (2 * t.len)) ev in
+    Array.blit t.events 0 bigger 0 t.len;
+    t.events <- bigger
+  end;
+  t.events.(t.len) <- ev;
+  t.len <- t.len + 1;
+  match e with
+  | (Crash p | Restart p) when p >= 0 && p < Array.length t.seen ->
+      t.seen.(p) <- time;
+      t.down.(p) <- (match e with Crash _ -> true | _ -> false)
+  | _ -> ()
+
+let emit_base t w ~upto =
+  while w.base_next < Array.length w.base && fst w.base.(w.base_next) <= upto do
+    push t w.base.(w.base_next);
+    w.base_next <- w.base_next + 1
+  done
+
+(* One uniform draw below [rate]. *)
+let hit w rate = Stats.Rng.float w.rng 1.0 < rate
+
+let walk_step t (w : walk) =
+  let time = w.step in
+  emit_base t w ~upto:time;
+  let r = w.rates in
+  for p = 0 to w.n - 1 do
+    if w.crashed.(p) then begin
+      if r.recover > 0. && hit w r.recover then begin
+        w.crashed.(p) <- false;
+        w.crashed_count <- w.crashed_count - 1;
+        push t (time, Restart p)
+      end
+    end
+    else if r.crash > 0. && w.crashed_count < w.n - 1 && hit w r.crash then begin
+      w.crashed.(p) <- true;
+      w.crashed_count <- w.crashed_count + 1;
+      push t (time, Crash p)
+    end
+    else if r.stall > 0. && hit w r.stall then
+      push t (time, Stall (p, r.stall_len))
+  done;
+  w.step <- time + 1
+
+(* Grow the known prefix by one whole time step, or, once the walk is
+   past its horizon, by everything left. *)
+let expand t =
+  match t.walk with
+  | None -> ()
+  | Some w ->
+      if w.step < w.horizon then walk_step t w
+      else begin
+        emit_base t w ~upto:max_int;
+        t.walk <- None
+      end
+
+(* Whether the plan has an event [i], expanding as far as needed. *)
+let rec available t i = i < t.len || (Option.is_some t.walk && (expand t; available t i))
+
+(* Everything at or before this time is in the known prefix. *)
+let covered t = match t.walk with None -> max_int | Some w -> w.step - 1
+
+let materialize t =
+  while Option.is_some t.walk do
+    expand t
+  done
+
+let time_at t i = if available t i then fst t.events.(i) else max_int
+
+let event_at t i =
+  if available t i then snd t.events.(i)
+  else invalid_arg "Fault_plan.event_at: past the end of the plan"
+
+let exists_from t i f =
+  let rec go i = available t i && (f (snd t.events.(i)) || go (i + 1)) in
+  go i
+
+(* -- Whole-plan readers --------------------------------------------- *)
+
+let fold_known f acc t =
+  let acc = ref acc in
+  for i = 0 to t.len - 1 do
+    acc := f !acc t.events.(i)
+  done;
+  !acc
+
+let fold f acc t =
+  materialize t;
+  fold_known f acc t
+
+let events t =
+  materialize t;
+  Array.sub t.events 0 t.len
+
+let events_list t = Array.to_list (events t)
+
+let merge a b =
+  make ~spurious:(a.spurious @ b.spurious) (events_list a @ events_list b)
+
 let spurious t = t.spurious
 
-let is_none t = t.events = [||] && t.spurious = []
+let is_none t = t.len = 0 && Option.is_none t.walk && t.spurious = []
 
 let event_proc = function Crash p | Restart p | Stall (p, _) -> p
 
@@ -96,37 +216,53 @@ let spurious_rates ~n t =
   rates
 
 let restart_count t =
-  Array.fold_left
-    (fun acc (_, e) -> match e with Restart _ -> acc + 1 | _ -> acc)
-    0 t.events
+  fold (fun acc (_, e) -> match e with Restart _ -> acc + 1 | _ -> acc) 0 t
 
 let stall_total t =
-  Array.fold_left
-    (fun acc (_, e) -> match e with Stall (_, d) -> acc + max 0 d | _ -> acc)
-    0 t.events
+  fold (fun acc (_, e) -> match e with Stall (_, d) -> acc + max 0 d | _ -> acc) 0 t
 
 let survivors ~n t =
   let crashed = Array.make n false in
-  Array.iter
-    (fun (_, e) ->
+  fold
+    (fun () (_, e) ->
       match e with
       | Crash p -> if p >= 0 && p < n then crashed.(p) <- true
       | Restart p -> if p >= 0 && p < n then crashed.(p) <- false
       | Stall _ -> ())
-    t.events;
+    () t;
   Array.fold_left (fun acc c -> if c then acc else acc + 1) 0 crashed
 
+let validate_rates r =
+  let prob x = x >= 0. && x <= 1. (* false on NaN *) in
+  if not (prob r.crash) then Error "crash rate must be in [0,1]"
+  else if not (prob r.recover) then Error "recover rate must be in [0,1]"
+  else if not (prob r.stall) then Error "stall rate must be in [0,1]"
+  else if r.stall_len < 0 then Error "negative stall duration"
+  else if not (r.casfail >= 0. && r.casfail < 1.) then
+    Error "casfail rate must be in [0,1)"
+  else Ok ()
+
+(* A walk over at most [n] processes with valid rates emits only
+   in-range, well-formed events and keeps a survivor, so without
+   explicit events its unread rest cannot change any whole-plan check
+   at [n]. *)
+let walk_is_safe ~n t =
+  match t.walk with
+  | Some (w : walk) ->
+      w.base = [||] && w.n <= n && n > 0 && validate_rates w.rates = Ok ()
+  | None -> false
+
+let outage ~n t = (not (walk_is_safe ~n t)) && survivors ~n t = 0
+
 let validate ~n t =
+  if not (walk_is_safe ~n t) then materialize t;
+  let exists pred = fold_known (fun acc ev -> acc || pred ev) false t in
   let bad_proc =
-    Array.exists
-      (fun (time, e) ->
+    exists (fun (time, e) ->
         let p = event_proc e in
         p < 0 || p >= n || time < 0)
-      t.events
   in
-  let bad_stall =
-    Array.exists (fun (_, e) -> match e with Stall (_, d) -> d < 0 | _ -> false) t.events
-  in
+  let bad_stall = exists (function _, Stall (_, d) -> d < 0 | _ -> false) in
   let bad_rate =
     List.exists
       (fun (proc, r) ->
@@ -142,17 +278,33 @@ let validate ~n t =
        process un-crashed at the end (Definition 1's survivor,
        extended: a crash healed by a later restart is not permanent). *)
     let crashed = Array.make n false in
-    Array.iter
-      (fun (_, e) ->
+    fold_known
+      (fun () (_, e) ->
         match e with
         | Crash p -> crashed.(p) <- true
         | Restart p -> crashed.(p) <- false
         | Stall _ -> ())
-      t.events;
+      () t;
     let perm = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 crashed in
     if perm >= n then Error "fault plan: all processes would crash permanently"
     else Ok ()
   end
+
+let down_for_good t p ~now =
+  if p < 0 || p >= Array.length t.seen then
+    invalid_arg "Fault_plan.down_for_good: not a process of this instantiated plan";
+  while covered t < now do
+    expand t
+  done;
+  (* Down at [now], and for good unless a later crash or restart of [p]
+     turns up before the plan ends. *)
+  t.down.(p) && t.seen.(p) <= now
+  && begin
+       while Option.is_some t.walk && t.seen.(p) <= now do
+         expand t
+       done;
+       t.seen.(p) <= now
+     end
 
 (* -- Grammar --------------------------------------------------------
 
@@ -177,7 +329,7 @@ let spurious_to_token (proc, r) =
 
 let to_string t =
   String.concat ","
-    (Array.to_list (Array.map event_to_token t.events)
+    (List.map event_to_token (events_list t)
     @ List.map spurious_to_token t.spurious)
 
 let rates_to_tokens r =
@@ -266,8 +418,7 @@ let parse_spec s =
       (List.map String.trim (String.split_on_char ',' s))
   in
   let rec go events spurious rates = function
-    | [] ->
-        Ok { base = { events = sort_events (List.rev events); spurious = List.rev spurious }; rates }
+    | [] -> Ok { base = make ~spurious:(List.rev spurious) (List.rev events); rates }
     | tok :: rest -> (
         match parse_token tok with
         | Error msg -> Error msg
@@ -281,7 +432,9 @@ let parse_spec s =
               | `Stall (c, d) -> { rates with stall = c; stall_len = d }
               | `Casfail c -> { rates with casfail = c }
             in
-            go events spurious rates rest)
+            match validate_rates rates with
+            | Ok () -> go events spurious rates rest
+            | Error msg -> Error (Printf.sprintf "bad --faults token %S: %s" tok msg))
   in
   go [] [] zero_rates tokens
 
@@ -290,44 +443,37 @@ let rates_are_zero r =
 
 let spec_is_none s = is_none s.base && rates_are_zero s.rates
 
-(* Expand a rate spec into a concrete plan, deterministically by seed.
-   The generative model walks time 0..horizon-1 tracking which
-   processes it has crashed, so crash/recover rates produce plausible
-   sequences and at least one process always survives. *)
 let instantiate spec ~seed ~n ~horizon =
-  if rates_are_zero spec.rates then spec.base
+  let r = spec.rates in
+  let t =
+    {
+      events = [||];
+      len = 0;
+      spurious =
+        (spec.base.spurious @ if r.casfail > 0. then [ (None, r.casfail) ] else []);
+      walk = None;
+      seen = Array.make n min_int;
+      down = Array.make n false;
+    }
+  in
+  let base = events spec.base in
+  if rates_are_zero r then Array.iter (push t) base
   else begin
-    let r = spec.rates in
-    let rng = Stats.Rng.create ~seed in
-    let crashed = Array.make n false in
-    let crashed_count = ref 0 in
-    let events = ref [] in
-    for time = 0 to horizon - 1 do
-      for p = 0 to n - 1 do
-        if crashed.(p) then begin
-          if r.recover > 0. && Stats.Rng.float rng 1.0 < r.recover then begin
-            crashed.(p) <- false;
-            decr crashed_count;
-            events := (time, Restart p) :: !events
-          end
-        end
-        else begin
-          if
-            r.crash > 0.
-            && !crashed_count < n - 1
-            && Stats.Rng.float rng 1.0 < r.crash
-          then begin
-            crashed.(p) <- true;
-            incr crashed_count;
-            events := (time, Crash p) :: !events
-          end
-          else if r.stall > 0. && Stats.Rng.float rng 1.0 < r.stall then
-            events := (time, Stall (p, r.stall_len)) :: !events
-        end
-      done
-    done;
-    let spurious =
-      if r.casfail > 0. then [ (None, r.casfail) ] else []
+    let w =
+      {
+        rates = r;
+        n;
+        horizon;
+        rng = Stats.Rng.create ~seed;
+        crashed = Array.make n false;
+        crashed_count = 0;
+        step = 0;
+        base;
+        base_next = 0;
+      }
     in
-    merge spec.base { events = sort_events (List.rev !events); spurious }
-  end
+    (* Explicit events before time 0 precede the whole walk. *)
+    emit_base t w ~upto:(-1);
+    t.walk <- Some w
+  end;
+  t

@@ -28,7 +28,13 @@ type event =
           [[t, t+d)].  Windows overlap by taking the later end. *)
 
 type t
-(** A time-sorted event list plus per-process spurious-CAS rates. *)
+(** A time-sorted event list plus per-process spurious-CAS rates.  A
+    plan from {!instantiate} with non-zero rates is expanded as it is
+    read: its readers see the same events as a plan expanded up front,
+    but the rate walk behind them only runs as far as they look.  Such
+    a plan fills in on read, so read it from one domain at a time:
+    build it in the domain that runs it, as the load engine does
+    inside [run_shard]. *)
 
 type rates = {
   crash : float;  (** Per-process per-step crash probability. *)
@@ -39,6 +45,11 @@ type rates = {
 }
 (** Rate-based fault description, expanded into concrete events by
     {!instantiate}. *)
+
+val validate_rates : rates -> (unit, string) result
+(** Crash, recover and stall rates in [[0,1]], casfail in [[0,1)], no
+    NaN, and a non-negative stall length.  {!parse_spec} applies it to
+    every rate token. *)
 
 val zero_rates : rates
 
@@ -81,6 +92,35 @@ val merge : t -> t -> t
 (** Union of events (stable by time) and spurious entries; overlapping
     spurious rates resolve to the maximum. *)
 
+(** {2 Reading a plan in time order}
+
+    These expand the plan only as far as they look. *)
+
+val time_at : t -> int -> int
+(** [time_at t i] is the time of event [i] (in plan order), or
+    [max_int] past the last event.  Allocates nothing once the event
+    is known. *)
+
+val event_at : t -> int -> event
+(** [event_at t i] is event [i]; [Invalid_argument] past the last. *)
+
+val exists_from : t -> int -> (event -> bool) -> bool
+(** [exists_from t i f]: some event at index [i] or later satisfies
+    [f].  Expands only up to the first one that does. *)
+
+val down_for_good : t -> int -> now:int -> bool
+(** [down_for_good t p ~now]: [p]'s last crash or restart event in the
+    whole plan is a crash at or before [now] — [p] is crashed at [now]
+    and never restarts.  [t] must come from {!instantiate} and [p] be
+    one of its [n] processes ([Invalid_argument] otherwise).  Expands
+    only through [now] and, if [p] is down then, on to [p]'s next crash
+    or restart (or the plan's end); repeated queries do not rescan the
+    plan. *)
+
+(** {2 Whole-plan readers}
+
+    These expand the plan to its end. *)
+
 val events : t -> (int * event) array
 (** Events sorted by time (stable); a fresh copy. *)
 
@@ -104,10 +144,18 @@ val survivors : n:int -> t -> int
     total outage — {!validate} rejects it, but the load engine's
     outage drill detects and degrades it instead. *)
 
+val outage : n:int -> t -> bool
+(** [survivors ~n t = 0].  A plan instantiated over at most [n]
+    processes from valid rates and no explicit events always keeps a
+    survivor, and is answered without expanding it. *)
+
 val validate : n:int -> t -> (unit, string) result
 (** Process ids in range, times and stall durations non-negative,
     rates in [0,1), and at least one process left un-crashed once every
-    restart is accounted for. *)
+    restart is accounted for.  Like {!outage}, it expands nothing for a
+    plan instantiated over at most [n] processes from valid rates and
+    no explicit events (the walk guarantees all of these); any other
+    plan is checked on its full expansion. *)
 
 val to_string : t -> string
 (** Round-trips through {!parse_spec} (explicit events and per-process
@@ -120,13 +168,20 @@ val parse_spec : string -> (spec, string) result
 (** Grammar (comma-separated tokens; [""] and ["none"] are empty):
     [crash@T:P], [restart@T:P], [stall@T:P+D], [casfail:P=R] (P may be
     [*]), and rate entries [crash~R], [recover~R], [stall~R:D],
-    [casfail~R].  Errors are one-line messages naming the bad token. *)
+    [casfail~R].  Rate entries must pass {!validate_rates}.  Errors are
+    one-line messages naming the bad token. *)
 
 val spec_is_none : spec -> bool
 
 val instantiate : spec -> seed:int -> n:int -> horizon:int -> t
-(** Expand the rate part over times [0..horizon-1] deterministically
-    by [seed] (the walk tracks crashed processes so recover rates act
-    on crashed ones and at least one process always survives) and
-    merge it with the explicit base plan.  All-zero rates return
-    [spec.base] unchanged without consuming any randomness. *)
+(** The rate part walked over times [0..horizon-1] (processes [0..n-1]
+    within a time) deterministically by [seed], merged stably with the
+    explicit base plan: at equal times the explicit events come first,
+    and explicit events at or after [horizon] follow the walk.  The
+    walk tracks crashed processes so recover rates act on crashed ones
+    and at least one process always survives.
+
+    Nothing is drawn up front: the walk is expanded on read, one time
+    step at a time, and every prefix any reader sees is the prefix of
+    the plan a full walk would give.  All-zero rates give the base
+    plan's events without consuming any randomness. *)

@@ -153,12 +153,15 @@ let run ~(config : Config.t) ~(scheduler : Sched.Scheduler.t) ~n ~stop
     start i
   done;
   if has_spurious then srng := Stats.Rng.split rng;
-  let events = Sched.Fault_plan.events plan in
+  (* Fault events fire at the start of their time step, in plan order.
+     The plan expands as it is read; [next] caches the time of the
+     event at [cursor] ([max_int] past the end), so a step with nothing
+     due costs one comparison. *)
   let cursor = ref 0 in
-  (* Fault events fire at the start of their time step, in plan order. *)
+  let next = ref (Sched.Fault_plan.time_at plan 0) in
   let process_events now =
-    while !cursor < Array.length events && fst events.(!cursor) <= now do
-      (match snd events.(!cursor) with
+    while !next <= now do
+      (match Sched.Fault_plan.event_at plan !cursor with
       | Sched.Fault_plan.Crash p ->
           if not terminated.(p) then begin
             crashed.(p) <- true;
@@ -174,7 +177,8 @@ let run ~(config : Config.t) ~(scheduler : Sched.Scheduler.t) ~n ~stop
           end
       | Sched.Fault_plan.Stall (p, d) ->
           if d > 0 then stalled_until.(p) <- max stalled_until.(p) (now + d));
-      incr cursor
+      incr cursor;
+      next := Sched.Fault_plan.time_at plan !cursor
     done
   in
   let refresh_stalls now =
@@ -192,18 +196,17 @@ let run ~(config : Config.t) ~(scheduler : Sched.Scheduler.t) ~n ~stop
      revives a crashed process.  [wakeable] decides whether to idle
      (tick the clock without a step) or stop early for good. *)
   let wakeable now =
-    let pending = ref false in
+    let stalled = ref false and down = ref false in
     for i = 0 to n - 1 do
-      if stalled_until.(i) > now && (not crashed.(i)) && not terminated.(i)
-      then pending := true
+      if not terminated.(i) then
+        if crashed.(i) then down := true
+        else if stalled_until.(i) > now then stalled := true
     done;
-    for j = !cursor to Array.length events - 1 do
-      match snd events.(j) with
-      | Sched.Fault_plan.Restart p ->
-          if crashed.(p) && not terminated.(p) then pending := true
-      | Sched.Fault_plan.Crash _ | Sched.Fault_plan.Stall _ -> ()
-    done;
-    !pending
+    !stalled
+    || !down
+       && Sched.Fault_plan.exists_from plan !cursor (function
+            | Sched.Fault_plan.Restart p -> crashed.(p) && not terminated.(p)
+            | Sched.Fault_plan.Crash _ | Sched.Fault_plan.Stall _ -> false)
   in
   (* A [Steps] stop is the step budget; only a [Completions] target
      needs its own check. *)

@@ -349,6 +349,15 @@ let test_chaos_validation_errors () =
         "all processes would crash";
       (* Unknown token names itself. *)
       rejected "bad token" "chaos --faults wibble --no-sweep" "wibble";
+      (* Rates are checked as they are parsed: these used to run every
+         trial as an invalid plan, skip it and report a clean pass. *)
+      rejected "casfail rate >= 1"
+        "chaos --quick --structures treiber --no-sweep --no-manifest --faults \
+         casfail~1.5"
+        "\"casfail~1.5\": casfail rate must be in [0,1)";
+      rejected "negative stall length"
+        "chaos --structures treiber --no-sweep --faults stall~0.1:-3"
+        "\"stall~0.1:-3\": negative stall duration";
       (* A --replay schedule is parsed (under an explicit plan) before
          anything runs, and an empty structure list is refused. *)
       rejected "bad replay pid"
@@ -507,6 +516,24 @@ let golden_cases =
       "load --structures all --clients 20000 --seed 3 --mode open --arrival \
        bursty --rate 0.01 --no-progress"
       0;
+    (* Rate-generated plans read past the executor's cursor.  Rescue of
+       a worker crashed for good (three of them, redelivered=7): *)
+    golden_case "load-rescue-seed2"
+      "load --structure counter --clients 2000 --workers 4 --shards 1 --seed \
+       2 --faults crash~0.05,recover~0.0005 --max-steps 5000 --no-progress"
+      0;
+    (* An explicit crash merged into a walk, and one rescue: *)
+    golden_case "load-explicit-walk-seed3"
+      "load --structure counter --clients 100 --workers 4 --shards 1 --seed \
+       3 --faults crash@30:2,stall~0.01:3 --no-progress"
+      0;
+    (* Every worker down at once, so the executor scans ahead for the
+       next restart: *)
+    golden_case "load-all-down-seed1"
+      "load --structure counter --clients 300 --workers 3 --shards 1 --seed \
+       1 --faults crash@20:1,crash~0.01,recover~0.02 --max-steps 3000 \
+       --no-progress"
+      0;
   ]
 
 (* -- repro load: faults and policies ---------------------------------- *)
@@ -576,6 +603,25 @@ let test_load_policy_flags_validated () =
         "load --clients 10 --retries 2 --no-progress" "retries need a deadline";
       rejected "bad fault token"
         "load --clients 10 --faults wibble --no-progress" "wibble";
+      (* Bad rates: the first two used to escape as an uncaught
+         Invalid_argument from the executor, the rest to run (crash~nan
+         and recover~-1 silently dropped from the header). *)
+      List.iter
+        (fun (faults, needle) ->
+          rejected ("rate " ^ faults)
+            ("load --structure counter --clients 50 --workers 2 --shards 1 \
+              --no-progress --faults " ^ faults)
+            needle)
+        [
+          ("casfail~1.5", "\"casfail~1.5\": casfail rate must be in [0,1)");
+          ("stall~0.1:-3", "\"stall~0.1:-3\": negative stall duration");
+          ("crash~2", "\"crash~2\": crash rate must be in [0,1]");
+          ("crash~nan", "\"crash~nan\": crash rate must be in [0,1]");
+          ("recover~-1,crash~0.1", "\"recover~-1\": recover rate must be in [0,1]");
+        ];
+      rejected "serve casfail rate >= 1"
+        "serve --clients 10 --windows 1 --no-progress --faults casfail~1.5"
+        "\"casfail~1.5\"";
       rejected "--expect-degraded without a tier"
         "load --clients 10 --expect-degraded --faults crash@5:0 --no-progress"
         "named tier")
@@ -683,6 +729,10 @@ let test_scenario_bad_spec_rejected () =
   with_scratch_dir (fun dir ->
       check_usage_error dir "bad token" "scenario --spec 'n=two'"
         "bad --spec token";
+      check_usage_error dir "bad fault rate"
+        "scenario --spec \
+         'structures=treiber;n=2;ops=2;sources=chaos;faults=casfail~1.5'"
+        "\"casfail~1.5\": casfail rate must be in [0,1)";
       let code, _, err = run dir "scenario --preset quick --spec 'n=2'" in
       Alcotest.(check bool) "--preset+--spec rejected" true (code <> 0);
       Alcotest.(check bool) "mutual exclusion named" true

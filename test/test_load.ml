@@ -169,7 +169,14 @@ let test_engine_validate () =
   err { small_cfg with kinds = [] };
   err { small_cfg with shards = 0 };
   err { small_cfg with workers = 0 };
-  err { small_cfg with alpha = -0.5 }
+  err { small_cfg with alpha = -0.5 };
+  (* Rates built in code, not parsed, are checked too. *)
+  let rates r =
+    { small_cfg with faults = { Sched.Fault_plan.base = Sched.Fault_plan.none; rates = r } }
+  in
+  err (rates { Sched.Fault_plan.standard_rates with casfail = 1.5 });
+  err (rates { Sched.Fault_plan.standard_rates with stall_len = -3 });
+  err (rates { Sched.Fault_plan.standard_rates with crash = Float.nan })
 
 let test_kind_names_round_trip () =
   List.iter

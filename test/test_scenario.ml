@@ -404,6 +404,15 @@ let validate_cases =
             { FP.base = FP.make [ (0, FP.Crash 7) ]; rates = FP.quick_rates }
             base)
          "faults:");
+    Alcotest.test_case "fault rates validated" `Quick
+      (check_invalid "casfail rate >= 1"
+         (Scenario.with_faults
+            {
+              FP.base = FP.none;
+              rates = { FP.chaos_rates with casfail = 1.5 };
+            }
+            base)
+         "faults: casfail rate must be in [0,1)");
     Alcotest.test_case "runner refuses invalid scenarios" `Quick (fun () ->
         let scn = Scenario.with_structures [] base in
         match Scenario.run scn with

@@ -349,6 +349,235 @@ let test_fault_plan_merge_and_rates () =
   Alcotest.(check string) "crash-only plan sorted by time" "crash@1:0,crash@4:2"
     (FP.to_string (FP.of_crash_events [ (4, 2); (1, 0) ]))
 
+let test_fault_plan_rates_validated () =
+  (* Every rate token is checked as it is parsed, naming the token:
+     out-of-range and NaN rates and negative stall lengths used to be
+     accepted here and fail later, or silently vanish from the plan. *)
+  List.iter
+    (fun (spec, needle) ->
+      match FP.parse_spec spec with
+      | Ok _ -> Alcotest.failf "%s accepted" spec
+      | Error msg ->
+          Alcotest.(check bool) (spec ^ " names the token: " ^ msg) true
+            (contains msg needle))
+    [
+      ("casfail~1.5", "\"casfail~1.5\": casfail rate must be in [0,1)");
+      ("casfail~1", "casfail rate must be in [0,1)");
+      ("stall~0.1:-3", "\"stall~0.1:-3\": negative stall duration");
+      ("stall~-0.1:3", "stall rate must be in [0,1]");
+      ("crash~2", "\"crash~2\": crash rate must be in [0,1]");
+      ("crash~nan", "\"crash~nan\": crash rate must be in [0,1]");
+      ("recover~-1,crash~0.1", "\"recover~-1\": recover rate");
+    ];
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool) (spec ^ " accepted") true
+        (Result.is_ok (FP.parse_spec spec)))
+    [ "crash~1,recover~1,stall~1:0,casfail~0.999"; "crash~0,casfail~0" ];
+  Alcotest.(check bool) "validate_rates on a record" true
+    (FP.validate_rates { FP.standard_rates with casfail = 1. } <> Ok ())
+
+(* -- Streamed fault plans ------------------------------------------- *)
+
+(* The eager expansion a streamed plan must reproduce: walk the whole
+   horizon up front, then merge stably with the explicit base plan. *)
+let eager_instantiate (spec : FP.spec) ~seed ~n ~horizon =
+  let r = spec.rates in
+  if r.crash = 0. && r.recover = 0. && r.stall = 0. && r.casfail = 0. then
+    spec.base
+  else begin
+    let rng = Stats.Rng.create ~seed in
+    let crashed = Array.make n false in
+    let crashed_count = ref 0 in
+    let events = ref [] in
+    for time = 0 to horizon - 1 do
+      for p = 0 to n - 1 do
+        if crashed.(p) then begin
+          if r.recover > 0. && Stats.Rng.float rng 1.0 < r.recover then begin
+            crashed.(p) <- false;
+            decr crashed_count;
+            events := (time, FP.Restart p) :: !events
+          end
+        end
+        else if
+          r.crash > 0.
+          && !crashed_count < n - 1
+          && Stats.Rng.float rng 1.0 < r.crash
+        then begin
+          crashed.(p) <- true;
+          incr crashed_count;
+          events := (time, FP.Crash p) :: !events
+        end
+        else if r.stall > 0. && Stats.Rng.float rng 1.0 < r.stall then
+          events := (time, FP.Stall (p, r.stall_len)) :: !events
+      done
+    done;
+    let spurious = if r.casfail > 0. then [ (None, r.casfail) ] else [] in
+    FP.merge spec.base (FP.make ~spurious (List.rev !events))
+  end
+
+(* What the load engine's rescue used to read off the eager plan: the
+   time after which each process is crashed for good. *)
+let dead_after ~n events =
+  let d = Array.make n max_int in
+  Array.iter
+    (fun (time, e) ->
+      match e with
+      | FP.Crash p -> if p >= 0 && p < n then d.(p) <- time
+      | FP.Restart p -> if p >= 0 && p < n then d.(p) <- max_int
+      | FP.Stall _ -> ())
+    events;
+  d
+
+type stream_case = {
+  n : int;
+  horizon : int;
+  seed : int;
+  spec : FP.spec;
+  order_seed : int;
+}
+
+let gen_stream_case =
+  let open QCheck2.Gen in
+  (* Zero, tiny, tier values and 1.0. *)
+  let rate = oneofl [ 0.; 0.; 1e-6; 1e-4; 5e-4; 0.002; 0.01; 0.02; 0.05; 0.1; 1.0 ] in
+  let rates =
+    oneof
+      [
+        oneofl
+          [ FP.standard_rates; FP.century_rates; FP.chaos_rates; FP.zero_rates ];
+        map
+          (fun (((crash, recover), (stall, stall_len)), casfail) ->
+            { FP.crash; recover; stall; stall_len; casfail })
+          (pair (pair (pair rate rate) (pair rate (int_range 0 6))) rate);
+      ]
+  in
+  let* n = int_range 1 8 in
+  let* horizon = int_range 0 400 in
+  let event =
+    (* Times past the horizon and process ids just out of range. *)
+    let* time = int_range (-1) (horizon + 3) in
+    let* p = int_range (-1) n in
+    let* kind = int_range 0 2 in
+    let+ d = int_range 0 4 in
+    (time, match kind with 0 -> FP.Crash p | 1 -> FP.Restart p | _ -> FP.Stall (p, d))
+  in
+  let* events = list_size (int_range 0 4) event in
+  let* spurious =
+    oneofl [ []; [ (None, 0.3) ]; [ (Some 0, 0.5) ] ]
+  in
+  let* rates = rates in
+  let* seed = int_bound 1_000_000 in
+  let+ order_seed = int_bound 1_000_000 in
+  { n; horizon; seed; spec = { FP.base = FP.make ~spurious events; rates }; order_seed }
+
+let print_stream_case c =
+  Printf.sprintf "n=%d horizon=%d seed=%d order=%d faults=%s" c.n c.horizon c.seed
+    c.order_seed (FP.spec_to_string c.spec)
+
+let stream_matches_eager c =
+  let fresh () = FP.instantiate c.spec ~seed:c.seed ~n:c.n ~horizon:c.horizon in
+  let oracle = eager_instantiate c.spec ~seed:c.seed ~n:c.n ~horizon:c.horizon in
+  let expected = FP.events oracle in
+  let fail fmt = Printf.ksprintf (fun s -> QCheck2.Test.fail_report s) fmt in
+  (* Event by event through the executor's accessors. *)
+  let p = fresh () in
+  let rec read i =
+    if FP.time_at p i = max_int then i
+    else if i >= Array.length expected then fail "extra event %d" i
+    else if (FP.time_at p i, FP.event_at p i) <> expected.(i) then
+      fail "event %d differs" i
+    else read (i + 1)
+  in
+  let last = read 0 in
+  if last <> Array.length expected then
+    fail "stream ends at %d, eager plan at %d" last (Array.length expected);
+  (* The executor's look-ahead for a restart, from a fresh plan. *)
+  let len = Array.length expected in
+  List.iter
+    (fun i ->
+      for q = 0 to c.n - 1 do
+        let restarts_q = function FP.Restart r -> r = q | _ -> false in
+        let want = ref false in
+        for j = i to len - 1 do
+          if restarts_q (snd expected.(j)) then want := true
+        done;
+        if FP.exists_from (fresh ()) i restarts_q <> !want then
+          fail "exists_from %d (restart of p%d) differs" i q
+      done)
+    [ 0; len / 2; len; len + 1 ];
+  (* Whole-plan readers, each on a fresh plan; validate and outage at
+     the walk's own n and around it. *)
+  let agree name f =
+    if f (fresh ()) <> f oracle then fail "%s differs" name
+  in
+  agree "to_string" (fun t -> FP.to_string t);
+  agree "restart_count" FP.restart_count;
+  agree "stall_total" FP.stall_total;
+  agree "survivors" (FP.survivors ~n:c.n);
+  List.iter
+    (fun n ->
+      agree (Printf.sprintf "validate ~n:%d" n) (FP.validate ~n);
+      if FP.outage ~n (fresh ()) <> (FP.survivors ~n oracle = 0) then
+        fail "outage ~n:%d differs" n)
+    [ max 1 (c.n - 1); c.n; c.n + 1 ];
+  (* The engine's query, asked in increasing time order and in a random
+     order, each on a fresh plan that must still read whole after. *)
+  let dead = dead_after ~n:c.n expected in
+  let queries =
+    List.concat_map
+      (fun now -> List.init c.n (fun q -> (q, now)))
+      (List.init (c.horizon + 3) Fun.id)
+  in
+  let shuffled =
+    let a = Array.of_list queries in
+    Stats.Rng.shuffle (Stats.Rng.create ~seed:c.order_seed) a;
+    Array.to_list a
+  in
+  List.iter
+    (fun qs ->
+      let t = fresh () in
+      List.iter
+        (fun (q, now) ->
+          if FP.down_for_good t q ~now <> (now >= dead.(q)) then
+            fail "down_for_good p%d at %d differs" q now)
+        qs;
+      if FP.events t <> expected then fail "events after queries differ")
+    [ queries; shuffled ];
+  true
+
+let prop_stream_matches_eager =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"streamed plan = eager plan" ~count:300
+       ~long_factor:10 ~print:print_stream_case gen_stream_case
+       stream_matches_eager)
+
+let test_fault_plan_long_horizon () =
+  (* A walk over 2e8 steps at n = 4 is about 1e9 draws: a run that
+     reads 10k steps of it must not pay for the rest. *)
+  let plan =
+    FP.instantiate
+      { FP.base = FP.none; rates = FP.standard_rates }
+      ~seed:3 ~n:4 ~horizon:200_000_000
+  in
+  let t0 = Sys.time () in
+  let config = Sim.Executor.Config.(default |> with_faults plan) in
+  let r =
+    Sim.Executor.exec_compiled ~config ~scheduler:Sched.Scheduler.uniform ~n:4
+      ~stop:(Steps 10_000) (Scu.Counter.make_compiled ~n:4).cspec
+  in
+  let now = Sim.Metrics.time r.metrics in
+  Alcotest.(check int) "ran its 10k steps" 10_000 now;
+  Alcotest.(check bool) "crashes healed on the way" true
+    (Array.exists (fun k -> k > 0) r.restarts);
+  Alcotest.(check bool) "validated without expanding" true
+    (FP.validate ~n:4 plan = Ok () && not (FP.outage ~n:4 plan));
+  ignore (FP.down_for_good plan 0 ~now);
+  let cpu = Sys.time () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "well under the eager walk's cost (%.2fs CPU)" cpu)
+    true (cpu < 2.)
+
 (* -- Distribution probes vs stateful schedulers --------------------- *)
 
 let test_pick_distribution_refuses_stateful () =
@@ -455,6 +684,13 @@ let () =
           Alcotest.test_case "instantiate deterministic" `Quick
             test_fault_plan_instantiate;
           Alcotest.test_case "merge and rates" `Quick test_fault_plan_merge_and_rates;
+          Alcotest.test_case "rates validated" `Quick test_fault_plan_rates_validated;
+        ] );
+      ( "fault plan streaming",
+        [
+          prop_stream_matches_eager;
+          Alcotest.test_case "long horizon not walked" `Quick
+            test_fault_plan_long_horizon;
         ] );
       ( "distribution probes",
         [
