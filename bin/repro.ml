@@ -17,7 +17,13 @@
    ids, attempt counts, cache hit/miss, pool skew) under results/runs/,
    rewritten atomically after every cell so a killed run loses at most
    one cell — `--resume` reads it back.  Tables on stdout are
-   unaffected, so -j1, -jN and resumed runs stay byte-identical. *)
+   unaffected, so -j1, -jN and resumed runs stay byte-identical.
+
+   Each flag value is parsed once, by the library that owns its type
+   (structure lists by [Scenario], fault specs by
+   [Sched.Fault_plan.parse_spec], load configs by [Load.Engine]), and
+   checked once, by that library's validator; this file only
+   translates flags into those values and prints what comes back. *)
 
 open Cmdliner
 
@@ -25,15 +31,89 @@ open Cmdliner
    under NTP and can produce negative durations in manifests. *)
 let now = Pool.monotonic_now
 
-let quick =
-  Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sample sizes (smoke run).")
+let cache_dir = "results/cache"
+let runs_dir = Filename.concat "results" "runs"
 
-let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of a text table.")
+(* [f] over a list, stopping at the first error. *)
+let rec all_ok f = function
+  | [] -> Ok []
+  | x :: rest ->
+      Result.bind (f x) (fun v -> Result.map (List.cons v) (all_ok f rest))
 
-(* Argument specs shared across `run`, `check`, `chaos` and `bench`:
-   one definition per flag so help text and validation cannot drift
-   between subcommands. *)
+(* A term whose [Error msg] is a one-line usage error (exit 124), and
+   a raw flag turned into its library type that way. *)
+let checked term =
+  Term.(
+    ret
+      (const (function Ok v -> `Ok v | Error msg -> `Error (false, msg))
+      $ term))
+
+let parsed parse raw = checked Term.(const parse $ raw)
+
+let write_file path body =
+  Telemetry.Fsutil.write_atomic path body;
+  Printf.eprintf "wrote %s\n%!" path
+
+(* The --out report files of `check`, `chaos` and `scenario`: the
+   k-th call of a run writes DIR/STEM-k.EXT (DIR created if missing);
+   without --out it writes nothing. *)
+let artifact_writer out =
+  let id = ref 0 in
+  fun ~stem ~ext body ->
+    Option.iter
+      (fun dir ->
+        Telemetry.Fsutil.mkdir_p dir;
+        incr id;
+        write_file
+          (Filename.concat dir (Printf.sprintf "%s-%d.%s" stem !id ext))
+          body)
+      out
+
+let no_faults =
+  { Sched.Fault_plan.base = Sched.Fault_plan.none; rates = Sched.Fault_plan.zero_rates }
+
+let mix_to_string = function None -> "-" | Some s -> string_of_int s
+let spec_or_none spec = if spec = "" then "none" else spec
+
+let print_gates (r : Check.Conform.report) =
+  List.iter
+    (fun (g : Check.Conform.gate) ->
+      Printf.printf "[conform] %s %-24s %s\n"
+        (if g.passed then "PASS" else "FAIL")
+        g.name g.detail)
+    r.gates
+
+(* A chaos source that ran no trial for a structure tested nothing
+   there; name those structures on one stderr line. *)
+let report_untried cmd (o : Scenario.outcome) =
+  if o.untried <> [] then
+    Printf.eprintf
+      "%s: no chaos trial ran for %s (every fault plan drawn crashes all %d \
+       processes)\n\
+       %!"
+      cmd
+      (String.concat ", " o.untried)
+      o.scenario.n
+
+let new_manifest ~ids ~quick ~seed ~jobs ~cache_enabled =
+  Telemetry.Manifest.create
+    ~command:(List.tl (Array.to_list Sys.argv))
+    ~ids ~quick ~seed ~jobs ~cache_enabled ()
+
+let write_manifest ?(note = "") manifest =
+  match Telemetry.Manifest.write ~dir:runs_dir manifest with
+  | path -> Printf.eprintf "manifest: %s%s\n%!" path note
+  | exception Sys_error msg -> Printf.eprintf "manifest: skipped (%s)\n%!" msg
+
+(* Argument specs shared across subcommands: one definition per flag
+   so help text and validation cannot drift between them. *)
 module Flags = struct
+  let quick =
+    Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sample sizes (smoke run).")
+
+  let csv =
+    Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of a text table.")
+
   let seed =
     Arg.(
       value
@@ -48,6 +128,12 @@ module Flags = struct
       value & flag
       & info [ "no-progress" ]
           ~doc:"Suppress the per-cell progress lines on stderr.")
+
+  let no_manifest =
+    Arg.(
+      value & flag
+      & info [ "no-manifest" ]
+          ~doc:"Do not write the per-run JSON manifest under results/runs/.")
 
   let long =
     Arg.(
@@ -65,22 +151,89 @@ module Flags = struct
       ~doc:
         "Write each violation as a replayable report file into $(docv) \
          (created if missing) — the CI artifact directory."
+
+  let jobs =
+    parsed
+      (fun j -> if j < 1 then Error "-j must be at least 1" else Ok j)
+      Arg.(
+        value
+        & opt int (Pool.default_size ())
+        & info [ "j"; "jobs" ] ~docv:"N"
+            ~doc:
+              "Worker domains for the cell pool (default: this machine's \
+               cores). $(b,-j 1) runs every cell in the calling domain, in \
+               order — the reference sequential behaviour.")
+
+  (* Shared by `run` and `bench`: an optional scenario gate in front of
+     the numbers — tables and benchmarks are only worth reading if the
+     structures they exercise are correct under the current build. *)
+  let preflight =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "preflight" ] ~docv:"SCENARIO"
+          ~doc:
+            "Run this scenario (a preset name like $(b,quick), or a `repro \
+             scenario --spec` grammar value) before the sweep and abort with \
+             exit 1 if it finds any violation or failed gate.")
+
+  (* `check` and `chaos`. *)
+
+  let structures_of s =
+    Result.map_error (( ^ ) "--structures: ") (Scenario.parse_structures s)
+
+  let structures =
+    parsed structures_of
+      Arg.(
+        value & opt string "stock"
+        & info [ "structures" ] ~docv:"NAMES"
+            ~doc:
+              "Comma-separated structure names, or $(b,stock) (all correct \
+               structures, the default) or $(b,all) (including the \
+               seeded-bug variants, for --expect-bug drills).")
+
+  let n =
+    Arg.(
+      value & opt int 3
+      & info [ "n"; "procs" ] ~docv:"N"
+          ~doc:"Processes per explored/fuzzed run (default 3).")
+
+  let ops =
+    Arg.(
+      value & opt int 2
+      & info [ "ops" ] ~docv:"K"
+          ~doc:
+            "Operations per process (default 2; n*ops is capped at 62 by the \
+             linearizability checker).")
+
+  let expect_bug =
+    Arg.(
+      value & flag
+      & info [ "expect-bug" ]
+          ~doc:
+            "Invert the exit status: succeed only if at least one violation \
+             was found (drill mode for the seeded-bug variants).")
+
+  let replay =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "replay" ] ~docv:"SCHEDULE"
+          ~doc:
+            "Replay one comma-separated schedule (as printed by a violation \
+             report) against the single structure named in --structures and \
+             print its verdict.")
+
+  let mix =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "mix-seed" ] ~docv:"N"
+          ~doc:
+            "Operation-mix seed for --replay (violation reports state the one \
+             they used; default: the deterministic role-based mix).  Only \
+             valid with --replay.")
 end
-
-let seed_arg = Flags.seed
-
-(* Shared by `run` and `bench`: an optional scenario gate in front of
-   the numbers — tables and benchmarks are only worth reading if the
-   structures they exercise are correct under the current build. *)
-let preflight_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "preflight" ] ~docv:"SCENARIO"
-        ~doc:
-          "Run this scenario (a preset name like $(b,quick), or a `repro \
-           scenario --spec` grammar value) before the sweep and abort with \
-           exit 1 if it finds any violation or failed gate.")
 
 let run_preflight = function
   | None -> Ok ()
@@ -101,25 +254,17 @@ let run_preflight = function
              %!"
             (List.length outcome.failures)
             outcome.gates_failed outcome.trials (now () -. t0);
-          if outcome.passed then Ok ()
-          else begin
+          if not outcome.passed then begin
             List.iter
               (fun (f : Scenario.failure) ->
                 Printf.eprintf "  preflight violation [%s/%s]: %s\n%!"
                   f.structure f.source f.verdict)
               outcome.failures;
-            Error "--preflight scenario failed; not running the sweep"
-          end)
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt int (Pool.default_size ())
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the cell pool (default: this machine's cores). \
-           $(b,-j 1) runs every cell in the calling domain, in order — the \
-           reference sequential behaviour.")
+            report_untried "preflight" outcome;
+            prerr_endline "preflight: scenario failed; not running the sweep";
+            exit 1
+          end;
+          Ok ())
 
 let cache_flag =
   Arg.(
@@ -128,14 +273,6 @@ let cache_flag =
         ~doc:
           "Serve cell results from results/cache/ when present and persist \
            fresh ones (keyed by experiment, cell, budget and seed).")
-
-let progress_flag = Flags.no_progress
-
-let no_manifest_flag =
-  Arg.(
-    value & flag
-    & info [ "no-manifest" ]
-        ~doc:"Do not write the per-run JSON manifest under results/runs/.")
 
 let retries_arg =
   Arg.(
@@ -191,9 +328,6 @@ let resume_arg =
            re-executed).  Explicit ids on the command line override the \
            manifest's.")
 
-let cache_dir = "results/cache"
-let runs_dir = Filename.concat "results" "runs"
-
 let list_cmd =
   let doc = "List all experiments with their paper artifacts." in
   let run () =
@@ -202,13 +336,6 @@ let list_cmd =
       Experiments.Exp.all
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
-
-let write_csv dir (e : Experiments.Exp.t) table =
-  let path = Filename.concat dir (e.id ^ ".csv") in
-  let oc = open_out path in
-  output_string oc (Stats.Table.to_csv table);
-  close_out oc;
-  Printf.eprintf "wrote %s\n%!" path
 
 (* A Plan runner backed by the domain pool, with per-cell retry under
    [policy] (fault injection included), optional progress lines and
@@ -319,7 +446,12 @@ let run_experiment ~runner ~manifest ~budget ~jobs ~csv ~out
         print_string (Stats.Table.to_csv table)
       end
       else print_string (Experiments.Exp.render_table e table);
-      Option.iter (fun dir -> write_csv dir e table) out;
+      Option.iter
+        (fun dir ->
+          write_file
+            (Filename.concat dir (e.id ^ ".csv"))
+            (Stats.Table.to_csv table))
+        out;
       print_newline ();
       true
   | exception Experiments.Retry.Cell_failed f ->
@@ -382,7 +514,6 @@ let run_cmd =
               | _ -> [])
         in
         if ids = [] then `Error (true, "no experiment ids given")
-        else if jobs < 1 then `Error (false, "-j must be at least 1")
         else if retries < 1 then `Error (false, "--retries must be at least 1")
         else if (match timeout with Some s -> not (s > 0.) | None -> false)
         then `Error (false, "--timeout must be positive")
@@ -410,10 +541,9 @@ let run_cmd =
                   let budget = Experiments.Exp.budget ~quick ~seed () in
                   let progress = not no_progress in
                   let manifest =
-                    Telemetry.Manifest.create
-                      ~command:(List.tl (Array.to_list Sys.argv))
+                    new_manifest
                       ~ids:(List.map (fun e -> e.Experiments.Exp.id) exps)
-                      ~quick ~seed ~jobs ~cache_enabled:cache ()
+                      ~quick ~seed ~jobs ~cache_enabled:cache
                   in
                   (* Journal from the start: the manifest file exists —
                      and stays valid JSON — from before the first cell
@@ -502,14 +632,9 @@ let run_cmd =
                   | None -> ());
                   Printf.eprintf "total: %d experiment(s) in %.2fs (j=%d)\n%!"
                     (List.length exps) dt jobs;
-                  if not no_manifest then begin
-                    match Telemetry.Manifest.write ~dir:runs_dir manifest with
-                    | path ->
-                        Printf.eprintf "manifest: %s%s\n%!" path
-                          (if journalled then " (journalled per cell)" else "")
-                    | exception Sys_error msg ->
-                        Printf.eprintf "manifest: skipped (%s)\n%!" msg
-                  end;
+                  if not no_manifest then
+                    write_manifest manifest
+                      ~note:(if journalled then " (journalled per cell)" else "");
                   if !failed <> [] then begin
                     Printf.eprintf
                       "FAILED: %d of %d experiment(s) had a cell give up: %s\n%!"
@@ -522,10 +647,10 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       ret
-        (const run $ ids_arg $ quick $ seed_arg $ jobs_arg $ cache_flag
-       $ progress_flag $ no_manifest_flag $ retries_arg $ timeout_arg
-       $ no_backoff_flag $ fault_arg $ resume_arg $ csv $ out_dir
-       $ preflight_arg))
+        (const run $ ids_arg $ Flags.quick $ Flags.seed $ Flags.jobs
+       $ cache_flag $ Flags.no_progress $ Flags.no_manifest $ retries_arg
+       $ timeout_arg $ no_backoff_flag $ fault_arg $ resume_arg $ Flags.csv
+       $ out_dir $ Flags.preflight))
 
 (* `repro bench`: time every cell of the selected experiments'
    plans sequentially (parallel timing would measure contention, not
@@ -676,82 +801,32 @@ let bench_cmd =
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(
       ret
-        (const run $ ids_arg $ seed_arg $ repeat_arg $ full_flag
-       $ progress_flag $ out_arg $ gate_arg $ preflight_arg))
+        (const run $ ids_arg $ Flags.seed $ repeat_arg $ full_flag
+       $ Flags.no_progress $ out_arg $ gate_arg $ Flags.preflight))
 
-(* Arguments shared by `repro check` and `repro chaos`. *)
-
-let structures_arg =
-  Arg.(
-    value & opt string "stock"
-    & info [ "structures" ] ~docv:"NAMES"
-        ~doc:
-          "Comma-separated structure names, or $(b,stock) (all correct \
-           structures, the default) or $(b,all) (including the seeded-bug \
-           variants, for --expect-bug drills).")
-
-let n_arg =
-  Arg.(
-    value & opt int 3
-    & info [ "n"; "procs" ] ~docv:"N"
-        ~doc:"Processes per explored/fuzzed run (default 3).")
-
-let ops_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "ops" ] ~docv:"K"
-        ~doc:
-          "Operations per process (default 2; n*ops is capped at 62 by the \
-           linearizability checker).")
-
-let expect_bug_flag =
-  Arg.(
-    value & flag
-    & info [ "expect-bug" ]
-        ~doc:
-          "Invert the exit status: succeed only if at least one violation \
-           was found (drill mode for the seeded-bug variants).")
-
-let replay_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "replay" ] ~docv:"SCHEDULE"
-        ~doc:
-          "Replay one comma-separated schedule (as printed by a violation \
-           report) against the single structure named in --structures and \
-           print its verdict.")
-
-let mix_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "mix-seed" ] ~docv:"N"
-        ~doc:
-          "Operation-mix seed for --replay (violation reports state the one \
-           they used; default: the deterministic role-based mix).")
-
-let parse_structures s =
-  match s with
-  | "stock" -> Ok Scu.Checkable.stock
-  | "all" -> Ok Scu.Checkable.all
-  | names -> (
-      try
-        Ok
-          (List.map Scu.Checkable.find
-             (List.filter (fun x -> x <> "") (String.split_on_char ',' names)))
-      with Invalid_argument msg -> Error msg)
+(* [Scenario.validate], with a bad fault plan ("faults: ...") blamed
+   on the flag that gave it, as that flag's own parse errors are. *)
+let validate ~faults_flag scn =
+  let prefix = "faults: " in
+  let k = String.length prefix in
+  Result.map_error
+    (fun msg ->
+      if String.starts_with ~prefix msg then
+        faults_flag ^ ": " ^ String.sub msg k (String.length msg - k)
+      else msg)
+    (Scenario.validate scn)
 
 (* `check --replay` and `chaos --replay`: one fixed schedule against
    the single named structure under an explicit fault plan.  Prints
    the verdict and the effective schedule; exits 1 unless the
    verdict's badness matches --expect-bug. *)
-let replay_cmd ~structs ~n ~ops ~seed ~mix ~faults ~tail ~expect_bug sched =
+let replay_cmd ~structures ~n ~ops ~seed ~mix ~faults_flag ~faults ~tail
+    ~expect_bug sched =
   let ( let* ) = Result.bind in
   let scenario =
     let* structure =
-      match structs with
-      | [ (s : Scu.Checkable.t) ] -> Ok s.name
+      match structures with
+      | [ s ] -> Ok s
       | _ -> Error "--replay needs exactly one --structures name"
     in
     let* () =
@@ -788,7 +863,7 @@ let replay_cmd ~structs ~n ~ops ~seed ~mix ~faults ~tail ~expect_bug sched =
         ~sources:[ Scenario.Replay { schedule; tail } ]
         ~gates:[ Scenario.Lin ] ~structures:[ structure ] ()
     in
-    Result.map (fun () -> scn) (Scenario.validate scn)
+    Result.map (fun () -> scn) (validate ~faults_flag scn)
   in
   match scenario with
   | Error msg -> `Error (false, msg)
@@ -825,12 +900,13 @@ let check_cmd =
             "Comma-separated subset of $(b,explore), $(b,fuzz), $(b,conform) \
              (default: all three).")
   in
-  let long_flag = Flags.long in
   let crash_arg =
     Arg.(
       value & opt string ""
       & info [ "crash" ] ~docv:"T:P[,T:P...]"
-          ~doc:"Crash plan for --replay: process P crashes at time T.")
+          ~doc:
+            "Crash plan for --replay: process P crashes at time T.  Only \
+             valid with --replay.")
   in
   let tail_arg =
     Arg.(
@@ -841,38 +917,17 @@ let check_cmd =
              explorer's frontier semantics, default) or $(b,round-robin) \
              (run to completion, the fuzzer's semantics).")
   in
-  let check_out_arg = Flags.artifact_dir in
   let parse_crash s =
-    if s = "" then Ok []
-    else
-      (* Catch only the parse failures ([int_of_string] raises
-         [Failure]); a catch-all here once swallowed unrelated
-         exceptions into the same "bad spec" message.  Name the
-         offending T:P component, not just the whole spec. *)
-      try
-        Ok
-          (List.map
-             (fun part ->
-               match String.split_on_char ':' part with
-               | [ t; p ] -> (int_of_string t, int_of_string p)
-               | _ -> failwith "not of the form T:P")
-             (String.split_on_char ',' s))
-      with Failure _ | Invalid_argument _ ->
-        let bad =
-          List.find_opt
-            (fun part ->
-              match String.split_on_char ':' part with
-              | [ t; p ] -> (
-                  match (int_of_string_opt t, int_of_string_opt p) with
-                  | Some _, Some _ -> false
-                  | _ -> true)
-              | _ -> true)
-            (String.split_on_char ',' s)
-        in
-        Error
-          (Printf.sprintf "bad --crash spec %S: component %S is not T:P (two integers)"
-             s
-             (Option.value bad ~default:s))
+    let event part =
+      match List.map int_of_string_opt (String.split_on_char ':' part) with
+      | [ Some t; Some p ] -> Ok (t, p)
+      | _ ->
+          Error
+            (Printf.sprintf
+               "bad --crash spec %S: component %S is not T:P (two integers)" s
+               part)
+    in
+    if s = "" then Ok [] else all_ok event (String.split_on_char ',' s)
   in
   let run mode structures n ops seed long expect_bug replay mix crash tail out
       =
@@ -882,85 +937,23 @@ let check_cmd =
         (fun m -> not (List.mem m [ "explore"; "fuzz"; "conform" ]))
         modes
     in
-    match (parse_structures structures, parse_crash crash) with
-    | Error msg, _ | _, Error msg -> `Error (false, msg)
-    | Ok _, _ when bad_modes <> [] ->
+    match parse_crash crash with
+    | Error msg -> `Error (false, msg)
+    | Ok _ when bad_modes <> [] ->
         `Error (false, "unknown --mode: " ^ String.concat "," bad_modes)
-    | Ok _, _ when n < 1 || ops < 1 || n * ops > 62 ->
-        `Error (false, "need n >= 1, ops >= 1 and n*ops <= 62")
-    | Ok structs, Ok crash_events -> (
-        let crash_plan = Sched.Fault_plan.of_crash_events crash_events in
-        match Sched.Fault_plan.validate ~n crash_plan with
-        | Error msg -> `Error (false, "--crash: " ^ msg)
-        | Ok () ->
-        let violations = ref 0 in
-        let gates_failed = ref 0 in
-        let artifact_id = ref 0 in
-        let write_artifact ~structure ~source ~mix_seed ~tail ~crash_plan
-            ~verdict schedule =
-          Option.iter
-            (fun dir ->
-              Telemetry.Fsutil.mkdir_p dir;
-              incr artifact_id;
-              let path =
-                Filename.concat dir
-                  (Printf.sprintf "%s-%s-%d.txt" structure source !artifact_id)
-              in
-              let oc = open_out path in
-              Printf.fprintf oc
-                "structure: %s\nsource: %s\nn: %d\nops: %d\nmix-seed: %s\n\
-                 crash: %s\ntail: %s\nschedule: %s\n\n%s\n"
-                structure source n ops
-                (match mix_seed with
-                | None -> "-"
-                | Some s -> string_of_int s)
-                (String.concat ","
-                   (List.map
-                      (fun (t, p) -> Printf.sprintf "%d:%d" t p)
-                      crash_plan))
-                tail
-                (Sched.Scheduler.replay_to_string schedule)
-                verdict;
-              close_out oc;
-              Printf.eprintf "wrote %s\n%!" path)
-            out
-        in
-        let report_violation ~structure ~source ~mix_seed ~tail ~crash_plan
-            ~verdict schedule =
-          incr violations;
-          Printf.printf "VIOLATION [%s/%s]\n  schedule: %s\n  %s\n" structure
-            source
-            (Sched.Scheduler.replay_to_string schedule)
-            verdict;
-          Printf.printf
-            "  replay: repro check --structures %s -n %d --ops %d --replay %s \
-             --tail %s%s\n"
-            structure n ops
-            (Sched.Scheduler.replay_to_string schedule)
-            tail
-            (match mix_seed with
-            | None -> ""
-            | Some s -> Printf.sprintf " --mix-seed %d" s);
-          write_artifact ~structure ~source ~mix_seed ~tail ~crash_plan
-            ~verdict schedule
-        in
-        (* Both paths below construct a Scenario.t and route through
-           Scenario.run; all printing happens in the event callback so
-           the stdout of historical invocations stays byte-identical
-           (pinned by the golden CLI tests). *)
-        let names =
-          List.map (fun (s : Scu.Checkable.t) -> s.name) structs
-        in
+    | Ok crash_events -> (
         match replay with
         | Some sched ->
-            replay_cmd ~structs ~n ~ops ~seed ~mix
+            replay_cmd ~structures ~n ~ops ~seed ~mix ~faults_flag:"--crash"
               ~faults:
                 {
-                  Sched.Fault_plan.base = crash_plan;
-                  rates = Sched.Fault_plan.zero_rates;
+                  no_faults with
+                  base = Sched.Fault_plan.of_crash_events crash_events;
                 }
               ~tail ~expect_bug sched
-        | None ->
+        | None when crash <> "" -> `Error (false, "--crash needs --replay")
+        | None when mix <> None -> `Error (false, "--mix-seed needs --replay")
+        | None -> (
             let sources =
               (if List.mem "explore" modes then [ Scenario.Explore ] else [])
               @ if List.mem "fuzz" modes then [ Scenario.Fuzz ] else []
@@ -981,17 +974,39 @@ let check_cmd =
               }
             in
             let scn =
-              Scenario.make ~n ~ops ~seed
-                ~faults:
-                  {
-                    Sched.Fault_plan.base = Sched.Fault_plan.none;
-                    rates = Sched.Fault_plan.zero_rates;
-                  }
-                ~sources ~gates ~budget ~structures:names ()
+              Scenario.make ~n ~ops ~seed ~faults:no_faults
+                ~sources ~gates ~budget ~structures ()
             in
             match Scenario.validate scn with
             | Error msg -> `Error (false, msg)
             | Ok () ->
+            (* All printing happens in the event callback so the stdout
+               of historical invocations stays byte-identical (pinned by
+               the golden CLI tests). *)
+            let artifact = artifact_writer out in
+            let report_violation ~structure ~source ~mix_seed ~tail
+                ~crash_plan ~verdict schedule =
+              let replay = Sched.Scheduler.replay_to_string schedule in
+              Printf.printf "VIOLATION [%s/%s]\n  schedule: %s\n  %s\n"
+                structure source replay verdict;
+              Printf.printf
+                "  replay: repro check --structures %s -n %d --ops %d \
+                 --replay %s --tail %s%s\n"
+                structure n ops replay tail
+                (match mix_seed with
+                | None -> ""
+                | Some s -> Printf.sprintf " --mix-seed %d" s);
+              artifact ~stem:(structure ^ "-" ^ source) ~ext:"txt"
+                (Printf.sprintf
+                   "structure: %s\nsource: %s\nn: %d\nops: %d\nmix-seed: %s\n\
+                    crash: %s\ntail: %s\nschedule: %s\n\n%s\n"
+                   structure source n ops (mix_to_string mix_seed)
+                   (String.concat ","
+                      (List.map
+                         (fun (t, p) -> Printf.sprintf "%d:%d" t p)
+                         crash_plan))
+                   tail replay verdict)
+            in
             let on_event = function
               | Scenario.Explore_done { structure; report = r; elapsed } ->
                   Printf.printf
@@ -1007,8 +1022,7 @@ let check_cmd =
                         report_violation ~structure ~source:"explore"
                           ~mix_seed:None ~tail:"stop" ~crash_plan:[]
                           ~verdict:(Check.Schedule.verdict_to_string v.verdict)
-                          v.schedule
-                      else incr violations)
+                          v.schedule)
                     r.violations
               | Scenario.Fuzz_done { structure; report = r; elapsed } ->
                   Printf.printf "[fuzz]    %-14s trials=%d failures=%d (%.2fs)\n"
@@ -1028,34 +1042,29 @@ let check_cmd =
                         ~crash_plan:f.crash_plan ~verdict:f.verdict f.schedule)
                     r.failures
               | Scenario.Conform_done { report = r; elapsed } ->
-                  List.iter
-                    (fun (g : Check.Conform.gate) ->
-                      if not g.passed then incr gates_failed;
-                      Printf.printf "[conform] %s %-24s %s\n"
-                        (if g.passed then "PASS" else "FAIL")
-                        g.name g.detail)
-                    r.gates;
+                  print_gates r;
                   Printf.printf "[conform] %s in %.1fs (seed %d)\n"
                     (if r.passed then "all gates passed" else "GATES FAILED")
                     elapsed seed
               | _ -> ()
             in
-            ignore (Scenario.run ~on_event ~now scn : Scenario.outcome);
+            let outcome = Scenario.run ~on_event ~now scn in
+            let violations = List.length outcome.failures in
             let ok =
-              if expect_bug then !violations > 0
-              else !violations = 0 && !gates_failed = 0
+              if expect_bug then violations > 0
+              else violations = 0 && outcome.gates_failed = 0
             in
             Printf.printf "check: %d violation(s), %d failed gate(s)%s\n"
-              !violations !gates_failed
+              violations outcome.gates_failed
               (if expect_bug then " (expecting a bug)" else "");
-            if ok then `Ok () else exit 1)
+            if ok then `Ok () else exit 1))
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       ret
-        (const run $ mode_arg $ structures_arg $ n_arg $ ops_arg $ seed_arg
-       $ long_flag $ expect_bug_flag $ replay_arg $ mix_arg $ crash_arg
-       $ tail_arg $ check_out_arg))
+        (const run $ mode_arg $ Flags.structures $ Flags.n $ Flags.ops
+       $ Flags.seed $ Flags.long $ Flags.expect_bug $ Flags.replay $ Flags.mix
+       $ crash_arg $ tail_arg $ Flags.artifact_dir))
 
 (* `repro chaos`: the chaos layer's CLI.  Phase 1 fuzzes the checkable
    structures under randomly instantiated fault plans (crash–recovery,
@@ -1065,24 +1074,31 @@ let check_cmd =
    deterministic content — violation reports and tables — so two runs
    with the same --seed and --faults are byte-identical; timings and
    file paths go to stderr.  Exit 1 on any violation (inverted by
-   --expect-bug). *)
+   --expect-bug) and on a structure no trial ran for. *)
 let chaos_cmd =
   let doc =
     "Chaos drills: fuzz the structures under random fault plans \
      (crash-recovery, stalls, spurious CAS failure) and run the \
      graceful-degradation sweep."
   in
-  let faults_arg =
-    Arg.(
-      value & opt string ""
-      & info [ "faults" ] ~docv:"SPEC"
-          ~doc:
-            "Fault spec: comma-separated explicit events $(b,crash@T:P), \
-             $(b,restart@T:P), $(b,stall@T:P+D), $(b,casfail:P=R) (P may be \
-             $(b,*)) and/or rates $(b,crash~R), $(b,recover~R), \
-             $(b,stall~R:D), $(b,casfail~R); $(b,none) is the empty spec.  \
-             Default: the mixed drill \
-             crash~0.01,recover~0.05,stall~0.01:5,casfail~0.1.")
+  let faults =
+    parsed
+      (function
+        | None -> Ok Check.Chaos.default_spec
+        | Some s -> Sched.Fault_plan.parse_spec s)
+      Arg.(
+        value
+        & opt (some string) None
+        & info [ "faults" ] ~docv:"SPEC"
+            ~doc:
+              "Fault spec: a named tier ($(b,quick), $(b,standard), \
+               $(b,century), $(b,chaos)) or comma-separated explicit events \
+               $(b,crash@T:P), $(b,restart@T:P), $(b,stall@T:P+D), \
+               $(b,casfail:P=R) (P may be $(b,*)) and/or rates \
+               $(b,crash~R), $(b,recover~R), $(b,stall~R:D), \
+               $(b,casfail~R); $(b,none) is the empty spec.  Default: the \
+               mixed drill (tier $(b,chaos)), \
+               crash~0.01,recover~0.05,stall~0.01:5,casfail~0.1.")
   in
   let trials_arg =
     Arg.(
@@ -1100,13 +1116,8 @@ let chaos_cmd =
             "Skip the graceful-degradation sweep (experiment `chaos`) after \
              the fuzz phase.")
   in
-  let chaos_out_arg = Flags.artifact_dir in
-  let run faults structures n ops seed trials quick expect_bug no_sweep
+  let run structures spec n ops seed trials quick expect_bug no_sweep
       no_manifest replay mix out =
-    let spec_result =
-      if faults = "" then Ok Check.Chaos.default_spec
-      else Sched.Fault_plan.parse_spec faults
-    in
     let trials =
       match trials with
       | Some t -> t
@@ -1114,126 +1125,91 @@ let chaos_cmd =
           if quick then Check.Chaos.default.trials / 4
           else Check.Chaos.default.trials
     in
-    match (parse_structures structures, spec_result) with
-    | Error msg, _ | _, Error msg -> `Error (false, msg)
-    | Ok _, _ when n < 1 || ops < 1 || n * ops > 62 ->
-        `Error (false, "need n >= 1, ops >= 1 and n*ops <= 62")
-    | Ok _, _ when trials < 1 -> `Error (false, "--trials must be at least 1")
-    | Ok structs, Ok spec -> (
-        match Sched.Fault_plan.validate ~n spec.Sched.Fault_plan.base with
-        | Error msg -> `Error (false, "--faults: " ^ msg)
-        | Ok () -> (
-            match replay with
-            | Some sched ->
-                replay_cmd ~structs ~n ~ops ~seed ~mix ~faults:spec
-                  ~tail:"round-robin" ~expect_bug sched
-            | None -> (
-                let scn =
-                  Scenario.make ~n ~ops ~seed ~faults:spec
-                    ~sources:[ Scenario.Chaos ]
-                    ~gates:[ Scenario.Lin ]
-                    ~budget:
-                      { Scenario.standard.budget with chaos_trials = trials }
-                    ~structures:
-                      (List.map (fun (s : Scu.Checkable.t) -> s.name) structs)
-                    ()
-                in
-                match Scenario.validate scn with
-                | Error msg -> `Error (false, msg)
-                | Ok () ->
-                let violations = ref 0 in
-                let artifact_id = ref 0 in
-                let manifest =
-                  Telemetry.Manifest.create
-                    ~command:(List.tl (Array.to_list Sys.argv))
-                    ~ids:(if no_sweep then [] else [ "chaos" ])
-                    ~quick ~seed ~jobs:1 ~cache_enabled:false ()
-                in
-                Telemetry.Manifest.set_faults manifest
-                  (Sched.Fault_plan.spec_to_string spec);
-                let spec_of (f : Check.Chaos.failure) =
-                  if f.fault_spec = "" then "none" else f.fault_spec
-                in
-                let write_artifact (f : Check.Chaos.failure) =
-                  Option.iter
-                    (fun dir ->
-                      Telemetry.Fsutil.mkdir_p dir;
-                      incr artifact_id;
-                      let path =
-                        Filename.concat dir
-                          (Printf.sprintf "%s-chaos-%d.txt" f.structure
-                             !artifact_id)
-                      in
-                      let oc = open_out path in
-                      Printf.fprintf oc
-                        "structure: %s\nsource: chaos\nn: %d\nops: %d\n\
-                         mix-seed: %d\nfaults: %s\ntail: round-robin\n\
-                         schedule: %s\n\n%s\n"
-                        f.structure n ops f.mix_seed (spec_of f) f.replay
-                        f.verdict;
-                      close_out oc;
-                      Printf.eprintf "wrote %s\n%!" path)
-                    out
-                in
-                let t0 = now () in
-                let on_event = function
-                  | Scenario.Chaos_done { structure; report = r; elapsed } ->
-                      Printf.printf "[chaos]   %-14s trials=%d failures=%d\n"
-                        structure r.trials
-                        (List.length r.failures);
-                      Printf.eprintf "  [chaos] %s: %.2fs\n%!" structure
-                        elapsed;
-                      List.iter
-                        (fun (f : Check.Chaos.failure) ->
-                          incr violations;
-                          Printf.printf
-                            "VIOLATION [%s/chaos]\n  schedule: %s\n  faults: \
-                             %s\n\
-                            \  %s\n"
-                            f.structure f.replay (spec_of f) f.verdict;
-                          Printf.printf
-                            "  replay: repro chaos --structures %s -n %d \
-                             --ops %d --replay %s --faults %s --mix-seed %d \
-                             --no-sweep\n"
-                            f.structure n ops f.replay (spec_of f) f.mix_seed;
-                          write_artifact f)
-                        r.failures
-                  | _ -> ()
-                in
-                ignore (Scenario.run ~on_event ~now scn : Scenario.outcome);
-                if not no_sweep then begin
-                  match Experiments.Exp.find "chaos" with
-                  | None -> ()
-                  | Some e ->
-                      let budget = Experiments.Exp.budget ~quick ~seed () in
-                      let t1 = now () in
-                      let table = Experiments.Exp.table ~budget e in
-                      Telemetry.Manifest.record_experiment manifest ~id:e.id
-                        ~title:e.title ~elapsed:(now () -. t1);
-                      print_string (Experiments.Exp.render_table e table);
-                      print_newline ()
-                end;
-                Telemetry.Manifest.set_elapsed manifest (now () -. t0);
-                if not no_manifest then begin
-                  match Telemetry.Manifest.write ~dir:runs_dir manifest with
-                  | path -> Printf.eprintf "manifest: %s\n%!" path
-                  | exception Sys_error msg ->
-                      Printf.eprintf "manifest: skipped (%s)\n%!" msg
-                end;
-                let ok =
-                  if expect_bug then !violations > 0 else !violations = 0
-                in
-                Printf.printf "chaos: %d violation(s) across %d structure(s)%s\n"
-                  !violations (List.length structs)
-                  (if expect_bug then " (expecting a bug)" else "");
-                if ok then `Ok () else exit 1)))
+    if trials < 1 then `Error (false, "--trials must be at least 1")
+    else
+      match replay with
+      | Some sched ->
+          replay_cmd ~structures ~n ~ops ~seed ~mix ~faults_flag:"--faults"
+            ~faults:spec ~tail:"round-robin" ~expect_bug sched
+      | None when mix <> None -> `Error (false, "--mix-seed needs --replay")
+      | None -> (
+          let scn =
+            Scenario.make ~n ~ops ~seed ~faults:spec
+              ~sources:[ Scenario.Chaos ] ~gates:[ Scenario.Lin ]
+              ~budget:{ Scenario.standard.budget with chaos_trials = trials }
+              ~structures ()
+          in
+          match validate ~faults_flag:"--faults" scn with
+          | Error msg -> `Error (false, msg)
+          | Ok () ->
+              let manifest =
+                new_manifest
+                  ~ids:(if no_sweep then [] else [ "chaos" ])
+                  ~quick ~seed ~jobs:1 ~cache_enabled:false
+              in
+              Telemetry.Manifest.set_faults manifest
+                (Sched.Fault_plan.spec_to_string spec);
+              let artifact = artifact_writer out in
+              let t0 = now () in
+              let on_event = function
+                | Scenario.Chaos_done { structure; report = r; elapsed } ->
+                    Printf.printf "[chaos]   %-14s trials=%d failures=%d\n"
+                      structure r.trials
+                      (List.length r.failures);
+                    Printf.eprintf "  [chaos] %s: %.2fs\n%!" structure elapsed;
+                    List.iter
+                      (fun (f : Check.Chaos.failure) ->
+                        let faults = spec_or_none f.fault_spec in
+                        Printf.printf
+                          "VIOLATION [%s/chaos]\n  schedule: %s\n  faults: %s\n\
+                          \  %s\n"
+                          f.structure f.replay faults f.verdict;
+                        Printf.printf
+                          "  replay: repro chaos --structures %s -n %d --ops \
+                           %d --replay %s --faults %s --mix-seed %d \
+                           --no-sweep\n"
+                          f.structure n ops f.replay faults f.mix_seed;
+                        artifact ~stem:(f.structure ^ "-chaos") ~ext:"txt"
+                          (Printf.sprintf
+                             "structure: %s\nsource: chaos\nn: %d\nops: %d\n\
+                              mix-seed: %d\nfaults: %s\ntail: round-robin\n\
+                              schedule: %s\n\n%s\n"
+                             f.structure n ops f.mix_seed faults f.replay
+                             f.verdict))
+                      r.failures
+                | _ -> ()
+              in
+              let outcome = Scenario.run ~on_event ~now scn in
+              if not no_sweep then begin
+                match Experiments.Exp.find "chaos" with
+                | None -> ()
+                | Some e ->
+                    let budget = Experiments.Exp.budget ~quick ~seed () in
+                    let t1 = now () in
+                    let table = Experiments.Exp.table ~budget e in
+                    Telemetry.Manifest.record_experiment manifest ~id:e.id
+                      ~title:e.title ~elapsed:(now () -. t1);
+                    print_string (Experiments.Exp.render_table e table);
+                    print_newline ()
+              end;
+              Telemetry.Manifest.set_elapsed manifest (now () -. t0);
+              if not no_manifest then write_manifest manifest;
+              let violations = List.length outcome.failures in
+              Printf.printf "chaos: %d violation(s) across %d structure(s)%s\n"
+                violations (List.length structures)
+                (if expect_bug then " (expecting a bug)" else "");
+              report_untried "chaos" outcome;
+              if outcome.untried = [] && (violations > 0) = expect_bug then
+                `Ok ()
+              else exit 1)
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       ret
-        (const run $ faults_arg $ structures_arg $ n_arg $ ops_arg $ seed_arg
-       $ trials_arg $ quick $ expect_bug_flag $ no_sweep_flag
-       $ no_manifest_flag $ replay_arg $ mix_arg $ chaos_out_arg))
+        (const run $ Flags.structures $ faults $ Flags.n $ Flags.ops
+       $ Flags.seed $ trials_arg $ Flags.quick $ Flags.expect_bug
+       $ no_sweep_flag $ Flags.no_manifest $ Flags.replay $ Flags.mix
+       $ Flags.artifact_dir))
 
 (* `repro scenario`: the scenario DSL's own CLI — named presets
    (quick/standard/century/chaos), the --spec grammar, and flag
@@ -1311,7 +1287,6 @@ let scenario_cmd =
             "Print the resolved scenario's canonical --spec value and exit \
              without running it.")
   in
-  let out_arg = Flags.artifact_dir in
   (* A failure's one-shot reproduction scenario: same workload, the
      failure's own mix seed, its shrunk fault plan (explicit events
      only) plus any crash plan, a fixed replay source, and both
@@ -1319,13 +1294,9 @@ let scenario_cmd =
   let replay_scenario (scn : Scenario.t) (f : Scenario.failure) =
     let faults =
       let of_events =
-        match Sched.Fault_plan.parse_spec f.fault_spec with
-        | Ok s -> s
-        | Error _ ->
-            {
-              Sched.Fault_plan.base = Sched.Fault_plan.none;
-              rates = Sched.Fault_plan.zero_rates;
-            }
+        Result.value
+          (Sched.Fault_plan.parse_spec f.fault_spec)
+          ~default:no_faults
       in
       {
         of_events with
@@ -1350,6 +1321,38 @@ let scenario_cmd =
       ~gates:[ Scenario.Lin; Scenario.Shadow ]
       ~structures:[ f.structure ] ()
   in
+  let resolve preset spec structures n ops seed =
+    let ( let* ) = Result.bind in
+    let* scn =
+      match (preset, spec) with
+      | Some _, Some _ -> Error "--preset and --spec are mutually exclusive"
+      | Some name, None ->
+          Option.to_result (Scenario.preset name)
+            ~none:
+              (Printf.sprintf "unknown --preset %S (known: %s)" name
+                 (String.concat ", " (List.map fst Scenario.presets)))
+      | None, Some s -> Scenario.parse s
+      | None, None -> Ok Scenario.standard
+    in
+    let* scn =
+      match structures with
+      | None -> Ok scn
+      | Some s ->
+          Result.map
+            (fun names -> Scenario.with_structures names scn)
+            (Flags.structures_of s)
+    in
+    let scn =
+      Scenario.with_workload
+        ~n:(Option.value n ~default:scn.Scenario.n)
+        ~ops:(Option.value ops ~default:scn.Scenario.ops)
+        scn
+    in
+    let scn =
+      Option.fold seed ~none:scn ~some:(fun s -> Scenario.with_seed s scn)
+    in
+    Result.map (fun () -> scn) (Scenario.validate scn)
+  in
   let run preset spec structures n ops seed list print expect_bug out =
     if list then begin
       List.iter
@@ -1359,154 +1362,80 @@ let scenario_cmd =
       `Ok ()
     end
     else
-      let base =
-        match (preset, spec) with
-        | Some _, Some _ -> Error "--preset and --spec are mutually exclusive"
-        | Some name, None -> (
-            match Scenario.preset name with
-            | Some p -> Ok p
-            | None ->
-                Error
-                  (Printf.sprintf "unknown --preset %S (known: %s)" name
-                     (String.concat ", " (List.map fst Scenario.presets))))
-        | None, Some s -> Scenario.parse s
-        | None, None -> Ok Scenario.standard
-      in
-      let base =
-        Result.bind base (fun b ->
-            match structures with
-            | None -> Ok b
-            | Some s -> (
-                match parse_structures s with
-                | Ok structs ->
-                    Ok
-                      (Scenario.with_structures
-                         (List.map
-                            (fun (t : Scu.Checkable.t) -> t.name)
-                            structs)
-                         b)
-                | Error msg -> Error msg))
-      in
-      match base with
+      match resolve preset spec structures n ops seed with
       | Error msg -> `Error (false, msg)
-      | Ok scn -> (
-          let scn =
-            scn
-            |> Scenario.with_workload
-                 ~n:(Option.value n ~default:scn.Scenario.n)
-                 ~ops:(Option.value ops ~default:scn.Scenario.ops)
-          in
-          let scn =
-            match seed with
-            | None -> scn
-            | Some s -> Scenario.with_seed s scn
-          in
-          match Scenario.validate scn with
-          | Error msg -> `Error (false, msg)
-          | Ok () ->
-              if print then begin
-                print_endline (Scenario.to_string scn);
-                `Ok ()
-              end
-              else begin
-                Printf.printf "scenario: %s\n" (Scenario.to_string scn);
-                let gates_failed = ref 0 in
-                let on_event = function
-                  | Scenario.Explore_done { structure; report = r; elapsed }
-                    ->
-                      Printf.printf
-                        "[explore] %-18s nodes=%d terminals=%d \
-                         violations=%d exhausted=%b (%.2fs)\n"
-                        structure r.nodes r.terminals
-                        (List.length r.violations)
-                        r.exhausted elapsed
-                  | Scenario.Fuzz_done { structure; report = r; elapsed } ->
-                      Printf.printf
-                        "[fuzz]    %-18s trials=%d failures=%d (%.2fs)\n"
-                        structure r.trials
-                        (List.length r.failures)
-                        elapsed
-                  | Scenario.Chaos_done { structure; report = r; elapsed } ->
-                      Printf.printf
-                        "[chaos]   %-18s trials=%d failures=%d (%.2fs)\n"
-                        structure r.trials
-                        (List.length r.failures)
-                        elapsed
-                  | Scenario.Replay_done { structure; outcome } ->
-                      Printf.printf "[replay]  %-18s %s\n" structure
-                        (Check.Schedule.verdict_to_string outcome.verdict)
-                  | Scenario.Load_done
-                      { structure; completed; verdict; elapsed } ->
-                      Printf.printf
-                        "[load]    %-18s completed=%d %s (%.2fs)\n" structure
-                        completed
-                        (Check.Schedule.verdict_to_string verdict)
-                        elapsed
-                  | Scenario.Conform_done { report = r; elapsed } ->
-                      List.iter
-                        (fun (g : Check.Conform.gate) ->
-                          if not g.passed then incr gates_failed;
-                          Printf.printf "[conform] %s %-24s %s\n"
-                            (if g.passed then "PASS" else "FAIL")
-                            g.name g.detail)
-                        r.gates;
-                      Printf.printf "[conform] %s in %.1fs\n"
-                        (if r.passed then "all gates passed"
-                         else "GATES FAILED")
-                        elapsed
-                in
-                let outcome = Scenario.run ~on_event ~now scn in
-                let artifact_id = ref 0 in
-                List.iter
-                  (fun (f : Scenario.failure) ->
-                    let repro_spec = Scenario.to_string (replay_scenario scn f) in
-                    Printf.printf "VIOLATION [%s/%s]\n  schedule: %s\n  %s\n"
-                      f.structure f.source f.replay f.verdict;
-                    Printf.printf "  replay: repro scenario --spec '%s'\n"
-                      repro_spec;
-                    Option.iter
-                      (fun dir ->
-                        Telemetry.Fsutil.mkdir_p dir;
-                        incr artifact_id;
-                        let path =
-                          Filename.concat dir
-                            (Printf.sprintf "%s-%s-%d.scenario" f.structure
-                               f.source !artifact_id)
-                        in
-                        let oc = open_out path in
-                        Printf.fprintf oc
-                          "spec: %s\nreplay-spec: %s\nstructure: %s\n\
-                           source: %s\nschedule: %s\nfaults: %s\nmix-seed: \
-                           %s\ntail: %s\n\n%s\n"
-                          (Scenario.to_string scn)
-                          repro_spec f.structure f.source f.replay
-                          (if f.fault_spec = "" then "none" else f.fault_spec)
-                          (match f.mix_seed with
-                          | None -> "-"
-                          | Some m -> string_of_int m)
-                          f.tail f.verdict;
-                        close_out oc;
-                        Printf.eprintf "wrote %s\n%!" path)
-                      out)
-                  outcome.failures;
-                let violations = List.length outcome.failures in
-                let ok =
-                  if expect_bug then violations > 0
-                  else violations = 0 && !gates_failed = 0
-                in
+      | Ok scn when print ->
+          print_endline (Scenario.to_string scn);
+          `Ok ()
+      | Ok scn ->
+          Printf.printf "scenario: %s\n" (Scenario.to_string scn);
+          let on_event = function
+            | Scenario.Explore_done { structure; report = r; elapsed } ->
                 Printf.printf
-                  "scenario: %d violation(s), %d failed gate(s) across %d \
-                   trial(s)%s\n"
-                  violations !gates_failed outcome.trials
-                  (if expect_bug then " (expecting a bug)" else "");
-                if ok then `Ok () else exit 1
-              end)
+                  "[explore] %-18s nodes=%d terminals=%d violations=%d \
+                   exhausted=%b (%.2fs)\n"
+                  structure r.nodes r.terminals
+                  (List.length r.violations)
+                  r.exhausted elapsed
+            | Scenario.Fuzz_done { structure; report = r; elapsed } ->
+                Printf.printf "[fuzz]    %-18s trials=%d failures=%d (%.2fs)\n"
+                  structure r.trials
+                  (List.length r.failures)
+                  elapsed
+            | Scenario.Chaos_done { structure; report = r; elapsed } ->
+                Printf.printf "[chaos]   %-18s trials=%d failures=%d (%.2fs)\n"
+                  structure r.trials
+                  (List.length r.failures)
+                  elapsed
+            | Scenario.Replay_done { structure; outcome } ->
+                Printf.printf "[replay]  %-18s %s\n" structure
+                  (Check.Schedule.verdict_to_string outcome.verdict)
+            | Scenario.Load_done { structure; completed; verdict; elapsed } ->
+                Printf.printf "[load]    %-18s completed=%d %s (%.2fs)\n"
+                  structure completed
+                  (Check.Schedule.verdict_to_string verdict)
+                  elapsed
+            | Scenario.Conform_done { report = r; elapsed } ->
+                print_gates r;
+                Printf.printf "[conform] %s in %.1fs\n"
+                  (if r.passed then "all gates passed" else "GATES FAILED")
+                  elapsed
+          in
+          let outcome = Scenario.run ~on_event ~now scn in
+          let artifact = artifact_writer out in
+          List.iter
+            (fun (f : Scenario.failure) ->
+              let repro_spec = Scenario.to_string (replay_scenario scn f) in
+              Printf.printf "VIOLATION [%s/%s]\n  schedule: %s\n  %s\n"
+                f.structure f.source f.replay f.verdict;
+              Printf.printf "  replay: repro scenario --spec '%s'\n" repro_spec;
+              artifact ~stem:(f.structure ^ "-" ^ f.source) ~ext:"scenario"
+                (Printf.sprintf
+                   "spec: %s\nreplay-spec: %s\nstructure: %s\nsource: %s\n\
+                    schedule: %s\nfaults: %s\nmix-seed: %s\ntail: %s\n\n%s\n"
+                   (Scenario.to_string scn) repro_spec f.structure f.source
+                   f.replay (spec_or_none f.fault_spec)
+                   (mix_to_string f.mix_seed) f.tail f.verdict))
+            outcome.failures;
+          let violations = List.length outcome.failures in
+          Printf.printf
+            "scenario: %d violation(s), %d failed gate(s) across %d \
+             trial(s)%s\n"
+            violations outcome.gates_failed outcome.trials
+            (if expect_bug then " (expecting a bug)" else "");
+          report_untried "scenario" outcome;
+          let ok =
+            if expect_bug then violations > 0 && outcome.untried = []
+            else outcome.passed
+          in
+          if ok then `Ok () else exit 1
   in
   Cmd.v (Cmd.info "scenario" ~doc)
     Term.(
       ret
         (const run $ preset_arg $ spec_arg $ structures_arg $ n_arg $ ops_arg
-       $ seed_arg $ list_flag $ print_flag $ expect_bug_flag $ out_arg))
+       $ seed_arg $ list_flag $ print_flag $ Flags.expect_bug
+       $ Flags.artifact_dir))
 
 (* `repro load` / `repro serve`: the live SCU service and its load
    generator.  Millions of simulated client sessions are multiplexed
@@ -1670,27 +1599,13 @@ module Load_cli = struct
             "Per-shard step budget; a shard that hits it stops early and \
              drops its unresolved requests (default 200000000).")
 
-  let parse_faults s =
-    if s = "" || s = "none" then Ok Load.Engine.no_faults
-    else
-      match Sched.Fault_plan.tier_rates s with
-      | Some rates -> Ok { Sched.Fault_plan.base = Sched.Fault_plan.none; rates }
-      | None -> Sched.Fault_plan.parse_spec s
-
-  let parse_kinds s =
-    if s = "all" then Ok Load.Engine.all_kinds
-    else
-      let names = List.filter (fun x -> x <> "") (String.split_on_char ',' s) in
-      if names = [] then Error "need at least one structure"
-      else
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | n :: rest -> (
-              match Load.Engine.kind_of_name n with
-              | Ok k -> go (k :: acc) rest
-              | Error msg -> Error msg)
-        in
-        go [] names
+  (* --structure names Engine kinds, not Checkable structures. *)
+  let parse_kinds = function
+    | "all" -> Ok Load.Engine.all_kinds
+    | s -> (
+        match List.filter (fun x -> x <> "") (String.split_on_char ',' s) with
+        | [] -> Error "need at least one structure"
+        | names -> all_ok Load.Engine.kind_of_name names)
 
   let parse_mode ~mode ~think ~arrival ~rate ~burst ~idle =
     match mode with
@@ -1702,43 +1617,49 @@ module Load_cli = struct
         | a -> Error ("unknown --arrival: " ^ a))
     | m -> Error ("unknown --mode: " ^ m)
 
-  let config ~structures ~clients ~ops ~workers ~shards ~mode ~think ~arrival
-      ~rate ~burst ~idle ~alpha ~objects ~seed ~faults ~deadline ~retries
-      ~backoff ~hedge ~max_steps =
-    match
-      ( parse_kinds structures,
-        parse_mode ~mode ~think ~arrival ~rate ~burst ~idle,
-        parse_faults faults )
-    with
-    | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> Error msg
-    | Ok kinds, Ok mode, Ok faults -> (
-        let policy =
-          {
-            Load.Policy.deadline = (if deadline > 0 then Some deadline else None);
-            max_retries = retries;
-            backoff_base = backoff;
-            hedge_after = (if hedge > 0 then Some hedge else None);
-          }
-        in
-        let cfg =
-          {
-            Load.Engine.kinds;
-            objects;
-            clients;
-            ops_per_client = ops;
-            workers;
-            shards;
-            mode;
-            alpha;
-            seed;
-            max_steps;
-            faults;
-            policy;
-          }
-        in
-        match Load.Engine.validate cfg with
-        | Ok () -> Ok cfg
-        | Error msg -> Error msg)
+  (* The service config the 20 flags describe, checked by
+     [Load.Engine.validate], with the --faults text beside it:
+     --expect-degraded takes only a bare tier name. *)
+  let config =
+    let make structures clients ops_per_client workers shards mode think
+        arrival rate burst idle alpha objects seed faults deadline retries
+        backoff hedge max_steps =
+      let ( let* ) = Result.bind in
+      let* kinds = parse_kinds structures in
+      let* mode = parse_mode ~mode ~think ~arrival ~rate ~burst ~idle in
+      let* spec = Sched.Fault_plan.parse_spec faults in
+      let cfg =
+        {
+          Load.Engine.kinds;
+          objects;
+          clients;
+          ops_per_client;
+          workers;
+          shards;
+          mode;
+          alpha;
+          seed;
+          max_steps;
+          faults = spec;
+          policy =
+            {
+              Load.Policy.deadline =
+                (if deadline > 0 then Some deadline else None);
+              max_retries = retries;
+              backoff_base = backoff;
+              hedge_after = (if hedge > 0 then Some hedge else None);
+            };
+        }
+      in
+      Result.map (fun () -> (cfg, faults)) (Load.Engine.validate cfg)
+    in
+    checked
+      Term.(
+        const make $ structures_arg $ clients_arg $ ops_arg $ workers_arg
+        $ shards_arg $ mode_arg $ think_arg $ arrival_arg $ rate_arg
+        $ burst_arg $ idle_arg $ alpha_arg $ objects_arg $ Flags.seed
+        $ faults_arg $ deadline_arg $ retries_arg $ backoff_arg $ hedge_arg
+        $ max_steps_arg)
 end
 
 let load_cmd =
@@ -1786,175 +1707,135 @@ let load_cmd =
              crash cross-check); exit non-zero on any gate failure.  \
              Requires --faults with a named tier.")
   in
-  let run structures clients ops workers shards mode think arrival rate burst
-      idle alpha objects seed jobs no_progress out faults deadline retries
-      backoff hedge max_steps slo ns slo_requests expect_pass expect_degraded =
-    match
-      Load_cli.config ~structures ~clients ~ops ~workers ~shards ~mode ~think
-        ~arrival ~rate ~burst ~idle ~alpha ~objects ~seed ~faults ~deadline
-        ~retries ~backoff ~hedge ~max_steps
-    with
-    | Error msg -> `Error (false, msg)
-    | Ok _ when expect_pass && not slo ->
+  (* --ns is parsed eagerly and a bad token is named, with or without
+     --slo. *)
+  let parse_ns ns =
+    all_ok
+      (fun tok ->
+        Option.to_result (int_of_string_opt tok)
+          ~none:(Printf.sprintf "--ns: %S is not an integer worker count" tok))
+      (List.filter (fun x -> x <> "") (String.split_on_char ',' ns))
+  in
+  let run (cfg, faults) jobs no_progress out slo ns slo_requests expect_pass
+      expect_degraded =
+    match parse_ns ns with
+    | _ when expect_pass && not slo ->
         `Error (false, "--expect-pass requires --slo")
-    | Ok _ when expect_degraded && Load.Degrade.budgets_for_tier faults = None
-      ->
+    | _ when expect_degraded && Load.Degrade.budgets_for_tier faults = None ->
         `Error
           ( false,
             "--expect-degraded requires --faults with a named tier (quick, \
              standard, century, chaos)" )
-    | Ok cfg -> (
-        (* Parse --ns eagerly and reject bad tokens by name.  The old
-           code mapped any [Failure] to the empty list, so a typo like
-           --ns 2,4,x was silently ignored without --slo and produced
-           the misleading "needs at least two worker counts" with it. *)
-        let ns_tokens =
-          List.filter (fun x -> x <> "") (String.split_on_char ',' ns)
+    | Error msg -> `Error (false, msg)
+    | Ok ns when slo && List.length ns < 2 ->
+        `Error (false, "--ns needs at least two worker counts")
+    | Ok _ when slo_requests < 1 ->
+        `Error (false, "--slo-requests must be positive")
+    | Ok ns ->
+        let t0 = now () in
+        let result, degrade_gates =
+          Pool.with_pool ~size:jobs (fun pool ->
+              if not expect_degraded then (Load.Engine.run ~pool cfg, None)
+              else
+                match Load.Degrade.run ~pool ~tier:faults cfg with
+                | Error msg -> failwith msg
+                | Ok d ->
+                    let crash =
+                      if cfg.workers >= 2 then
+                        Load.Degrade.crash_check ~pool
+                          ~k:(max 1 (cfg.workers / 2))
+                          cfg
+                      else []
+                    in
+                    (d.faulted, Some (d.gates @ crash)))
         in
-        let bad_ns =
-          List.find_opt
-            (fun x -> Option.is_none (int_of_string_opt x))
-            ns_tokens
+        if not no_progress then
+          Printf.eprintf "[load] %d request(s) in %.2fs (j=%d)\n%!"
+            result.requests (now () -. t0) jobs;
+        let gates =
+          if not slo then None
+          else
+            Some
+              (List.concat_map
+                 (fun kind ->
+                   match Load.Slo.params_of_kind kind with
+                   | None ->
+                       [
+                         Check.Conform.gate
+                           ("slo-" ^ Load.Engine.kind_name kind
+                          ^ "-unclassified")
+                           true
+                           "no SCU(q, s) classification (helping scan is \
+                            Theta(n) per attempt); not gated";
+                       ]
+                   | Some _ ->
+                       let t1 = now () in
+                       let s =
+                         Load.Slo.run ~ns ~requests_per_point:slo_requests
+                           ~kind ~seed:cfg.seed ()
+                       in
+                       if not no_progress then
+                         Printf.eprintf "[slo] %s sweep in %.2fs\n%!"
+                           (Load.Engine.kind_name kind)
+                           (now () -. t1);
+                       s.gates)
+                 cfg.kinds)
         in
-        match bad_ns with
-        | Some tok ->
-            `Error
-              ( false,
-                Printf.sprintf "--ns: %S is not an integer worker count" tok )
-        | None ->
-        let ns = List.map int_of_string ns_tokens in
-        if slo && List.length ns < 2 then
-          `Error (false, "--ns needs at least two worker counts")
-        else if jobs < 1 then `Error (false, "-j must be at least 1")
-        else if slo_requests < 1 then
-          `Error (false, "--slo-requests must be positive")
-        else begin
-          let t0 = now () in
-          let result, degrade_gates =
-            Pool.with_pool ~size:jobs (fun pool ->
-                if not expect_degraded then (Load.Engine.run ~pool cfg, None)
-                else
-                  match Load.Degrade.run ~pool ~tier:faults cfg with
-                  | Error msg -> failwith msg
-                  | Ok d ->
-                      let crash =
-                        if cfg.workers >= 2 then
-                          Load.Degrade.crash_check ~pool
-                            ~k:(max 1 (cfg.workers / 2))
-                            cfg
-                        else []
-                      in
-                      (d.faulted, Some (d.gates @ crash)))
-          in
-          if not no_progress then
-            Printf.eprintf "[load] %d request(s) in %.2fs (j=%d)\n%!"
-              result.requests (now () -. t0) jobs;
-          let gates =
-            if not slo then None
-            else
-              Some
-                (List.concat_map
-                   (fun kind ->
-                     match Load.Slo.params_of_kind kind with
-                     | None ->
-                         [
-                           Check.Conform.gate
-                             ("slo-" ^ Load.Engine.kind_name kind
-                            ^ "-unclassified")
-                             true
-                             "no SCU(q, s) classification (helping scan is \
-                              Theta(n) per attempt); not gated";
-                         ]
-                     | Some _ ->
-                         let t1 = now () in
-                         let s =
-                           Load.Slo.run ~ns
-                             ~requests_per_point:slo_requests ~kind ~seed ()
-                         in
-                         if not no_progress then
-                           Printf.eprintf "[slo] %s sweep in %.2fs\n%!"
-                             (Load.Engine.kind_name kind)
-                             (now () -. t1);
-                         s.gates)
-                   cfg.kinds)
-          in
-          let error_budget =
-            if Load.Report.reports_faults cfg then
-              Some (Load.Report.error_budget result)
-            else None
-          in
-          let report =
-            Load.Report.of_result ?slo:gates ?degrade:degrade_gates
-              ?error_budget result
-          in
-          print_string (Load.Report.render report);
-          Option.iter
-            (fun file ->
-              Telemetry.Load_report.write ~file report;
-              Printf.eprintf "manifest: %s\n%!" file)
-            out;
-          let gates_failed =
-            match gates with
-            | None -> 0
-            | Some gs ->
+        let error_budget =
+          if Load.Report.reports_faults cfg then
+            Some (Load.Report.error_budget result)
+          else None
+        in
+        let report =
+          Load.Report.of_result ?slo:gates ?degrade:degrade_gates
+            ?error_budget result
+        in
+        print_string (Load.Report.render report);
+        Option.iter
+          (fun file ->
+            Telemetry.Load_report.write ~file report;
+            Printf.eprintf "manifest: %s\n%!" file)
+          out;
+        (* Each gate family's summary line; its failure count. *)
+        let summary what =
+          Option.fold ~none:0 ~some:(fun gs ->
+              let failed =
                 List.length
-                  (List.filter
-                     (fun (g : Check.Conform.gate) -> not g.passed)
-                     gs)
-          in
-          (match gates with
-          | Some gs ->
-              Printf.printf "load: %d SLO gate(s), %d failed\n"
-                (List.length gs) gates_failed
-          | None -> ());
-          let degrade_failed =
-            match degrade_gates with
-            | None -> 0
-            | Some gs ->
-                List.length
-                  (List.filter
-                     (fun (g : Check.Conform.gate) -> not g.passed)
-                     gs)
-          in
-          (match degrade_gates with
-          | Some gs ->
-              Printf.printf "load: %d degradation gate(s), %d failed\n"
-                (List.length gs) degrade_failed
-          | None -> ());
-          (match Load.Report.stopped_early report with
-          | [] -> ()
-          | groups ->
-              List.iter
-                (fun (cause, ids) ->
-                  Printf.eprintf "load: shard%s %s stopped early %s\n%!"
-                    (if List.length ids = 1 then "" else "s")
-                    (String.concat "," (List.map string_of_int ids))
-                    (match cause with
-                    | Load.Report.Outage ->
-                        "by a total outage (the fault plan crashes every \
-                         worker for good)"
-                    | Step_budget ->
-                        Printf.sprintf "at the step budget (--max-steps %d)"
-                          cfg.max_steps))
-                groups;
-              exit 1);
-          if degrade_failed > 0 then exit 1;
-          if expect_pass && gates_failed > 0 then exit 1;
-          `Ok ()
-        end)
+                  (List.filter (fun (g : Check.Conform.gate) -> not g.passed) gs)
+              in
+              Printf.printf "load: %d %s gate(s), %d failed\n"
+                (List.length gs) what failed;
+              failed)
+        in
+        let gates_failed = summary "SLO" gates in
+        let degrade_failed = summary "degradation" degrade_gates in
+        (match Load.Report.stopped_early report with
+        | [] -> ()
+        | groups ->
+            List.iter
+              (fun (cause, ids) ->
+                Printf.eprintf "load: shard%s %s stopped early %s\n%!"
+                  (if List.length ids = 1 then "" else "s")
+                  (String.concat "," (List.map string_of_int ids))
+                  (match cause with
+                  | Load.Report.Outage ->
+                      "by a total outage (the fault plan crashes every \
+                       worker for good)"
+                  | Step_budget ->
+                      Printf.sprintf "at the step budget (--max-steps %d)"
+                        cfg.max_steps))
+              groups;
+            exit 1);
+        if degrade_failed > 0 then exit 1;
+        if expect_pass && gates_failed > 0 then exit 1;
+        `Ok ()
   in
   Cmd.v (Cmd.info "load" ~doc)
     Term.(
       ret
-        (const run $ Load_cli.structures_arg $ Load_cli.clients_arg
-       $ Load_cli.ops_arg $ Load_cli.workers_arg $ Load_cli.shards_arg
-       $ Load_cli.mode_arg $ Load_cli.think_arg $ Load_cli.arrival_arg
-       $ Load_cli.rate_arg $ Load_cli.burst_arg $ Load_cli.idle_arg
-       $ Load_cli.alpha_arg $ Load_cli.objects_arg $ seed_arg $ jobs_arg
-       $ progress_flag $ Load_cli.out_arg $ Load_cli.faults_arg
-       $ Load_cli.deadline_arg $ Load_cli.retries_arg $ Load_cli.backoff_arg
-       $ Load_cli.hedge_arg $ Load_cli.max_steps_arg $ slo_flag $ ns_arg
-       $ slo_requests_arg $ expect_pass_flag $ expect_degraded_flag))
+        (const run $ Load_cli.config $ Flags.jobs $ Flags.no_progress
+       $ Load_cli.out_arg $ slo_flag $ ns_arg $ slo_requests_arg
+       $ expect_pass_flag $ expect_degraded_flag))
 
 let serve_cmd =
   let doc =
@@ -1970,7 +1851,8 @@ let serve_cmd =
   in
   let slo_target_arg =
     Arg.(
-      value & opt float 0.999
+      value
+      & opt float Load.Report.default_slo_target
       & info [ "slo-target" ] ~docv:"A"
           ~doc:
             "Availability objective for the per-window error budget \
@@ -1978,95 +1860,74 @@ let serve_cmd =
              degraded, more than 10x is breached; only reported for faulted \
              or policy-bearing runs.")
   in
-  let run structures clients ops workers shards mode think arrival rate burst
-      idle alpha objects seed jobs no_progress out faults deadline retries
-      backoff hedge max_steps windows slo_target =
-    match
-      Load_cli.config ~structures ~clients ~ops ~workers ~shards ~mode ~think
-        ~arrival ~rate ~burst ~idle ~alpha ~objects ~seed ~faults ~deadline
-        ~retries ~backoff ~hedge ~max_steps
-    with
-    | Error msg -> `Error (false, msg)
-    | Ok cfg ->
-        if windows < 1 then `Error (false, "--windows must be at least 1")
-        else if jobs < 1 then `Error (false, "-j must be at least 1")
-        else if not (slo_target > 0. && slo_target < 1.) then
-          `Error (false, "--slo-target must be strictly between 0 and 1")
-        else begin
-          let oc =
-            Option.map
-              (fun file ->
-                (match Filename.dirname file with
-                | "" | "." -> ()
-                | dir -> Telemetry.Fsutil.mkdir_p dir);
-                open_out file)
-              out
-          in
-          let budgeted = Load.Report.reports_faults cfg in
-          let ok_w = ref 0 and degraded_w = ref 0 and breached_w = ref 0 in
-          let worst_burn = ref 0. in
-          Pool.with_pool ~size:jobs (fun pool ->
-              for w = 0 to windows - 1 do
-                let t0 = now () in
-                let cfg_w =
-                  { cfg with Load.Engine.seed = Load.Workload.mix seed w }
-                in
-                let result = Load.Engine.run ~pool cfg_w in
-                if not no_progress then
-                  Printf.eprintf "[serve] window %d: %d request(s) in %.2fs\n%!"
-                    w result.requests (now () -. t0);
-                let error_budget =
-                  if budgeted then begin
-                    let eb =
-                      Load.Report.error_budget ~target:slo_target result
-                    in
-                    (match eb.verdict with
-                    | "ok" -> incr ok_w
-                    | "degraded" -> incr degraded_w
-                    | _ -> incr breached_w);
-                    if eb.burn > !worst_burn then worst_burn := eb.burn;
-                    Some eb
-                  end
-                  else None
-                in
-                let report =
-                  Load.Report.of_result ~window:w ?error_budget result
-                in
-                print_string (Load.Report.render report);
-                Option.iter
-                  (fun oc ->
-                    output_string oc
-                      (Telemetry.Load_report.to_string ~compact:true report);
-                    output_char oc '\n';
-                    flush oc)
-                  oc
-              done);
-          Option.iter close_out oc;
-          Option.iter
-            (fun file -> Printf.eprintf "manifest stream: %s\n%!" file)
-            out;
-          (* Soak verdict, only for runs that can burn budget: window
-             counts by health plus the worst burn rate seen. *)
-          if budgeted then
-            Printf.printf
-              "serve: %d window(s): ok=%d degraded=%d breached=%d \
-               worst-burn=%.2f\n"
-              windows !ok_w !degraded_w !breached_w !worst_burn;
-          `Ok ()
-        end
+  let run (cfg, _) jobs no_progress out windows slo_target =
+    if windows < 1 then `Error (false, "--windows must be at least 1")
+    else if not (slo_target > 0. && slo_target < 1.) then
+      `Error (false, "--slo-target must be strictly between 0 and 1")
+    else begin
+      let oc =
+        Option.map
+          (fun file ->
+            (match Filename.dirname file with
+            | "" | "." -> ()
+            | dir -> Telemetry.Fsutil.mkdir_p dir);
+            open_out file)
+          out
+      in
+      let budgeted = Load.Report.reports_faults cfg in
+      let ok_w = ref 0 and degraded_w = ref 0 and breached_w = ref 0 in
+      let worst_burn = ref 0. in
+      Pool.with_pool ~size:jobs (fun pool ->
+          for w = 0 to windows - 1 do
+            let t0 = now () in
+            let cfg_w =
+              { cfg with Load.Engine.seed = Load.Workload.mix cfg.seed w }
+            in
+            let result = Load.Engine.run ~pool cfg_w in
+            if not no_progress then
+              Printf.eprintf "[serve] window %d: %d request(s) in %.2fs\n%!" w
+                result.requests (now () -. t0);
+            let error_budget =
+              if budgeted then begin
+                let eb = Load.Report.error_budget ~target:slo_target result in
+                (match eb.verdict with
+                | "ok" -> incr ok_w
+                | "degraded" -> incr degraded_w
+                | _ -> incr breached_w);
+                if eb.burn > !worst_burn then worst_burn := eb.burn;
+                Some eb
+              end
+              else None
+            in
+            let report = Load.Report.of_result ~window:w ?error_budget result in
+            print_string (Load.Report.render report);
+            Option.iter
+              (fun oc ->
+                output_string oc
+                  (Telemetry.Load_report.to_string ~compact:true report);
+                output_char oc '\n';
+                flush oc)
+              oc
+          done);
+      Option.iter close_out oc;
+      Option.iter
+        (fun file -> Printf.eprintf "manifest stream: %s\n%!" file)
+        out;
+      (* Soak verdict, only for runs that can burn budget: window
+         counts by health plus the worst burn rate seen. *)
+      if budgeted then
+        Printf.printf
+          "serve: %d window(s): ok=%d degraded=%d breached=%d \
+           worst-burn=%.2f\n"
+          windows !ok_w !degraded_w !breached_w !worst_burn;
+      `Ok ()
+    end
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       ret
-        (const run $ Load_cli.structures_arg $ Load_cli.clients_arg
-       $ Load_cli.ops_arg $ Load_cli.workers_arg $ Load_cli.shards_arg
-       $ Load_cli.mode_arg $ Load_cli.think_arg $ Load_cli.arrival_arg
-       $ Load_cli.rate_arg $ Load_cli.burst_arg $ Load_cli.idle_arg
-       $ Load_cli.alpha_arg $ Load_cli.objects_arg $ seed_arg $ jobs_arg
-       $ progress_flag $ Load_cli.out_arg $ Load_cli.faults_arg
-       $ Load_cli.deadline_arg $ Load_cli.retries_arg $ Load_cli.backoff_arg
-       $ Load_cli.hedge_arg $ Load_cli.max_steps_arg $ windows_arg
-       $ slo_target_arg))
+        (const run $ Load_cli.config $ Flags.jobs $ Flags.no_progress
+       $ Load_cli.out_arg $ windows_arg $ slo_target_arg))
 
 let main =
   let doc =

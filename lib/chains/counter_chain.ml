@@ -37,9 +37,6 @@ module Individual = struct
   let win_weight t ~proc i =
     let mask = t.decode i in
     if mask land (1 lsl proc) <> 0 then 1. /. float_of_int t.n else 0.
-
-  let any_win_weight t i =
-    float_of_int (popcount (t.decode i)) /. float_of_int t.n
 end
 
 module Global = struct
@@ -57,8 +54,6 @@ module Global = struct
     in
     let label i = Printf.sprintf "v%d" (i + 1) in
     { chain = Markov.Chain.create ~label ~size:n ~row (); n }
-
-  let any_win_weight t i = float_of_int (i + 1) /. float_of_int t.n
 
   let return_time_v1 ~n =
     let t = make ~n in

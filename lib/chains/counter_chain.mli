@@ -29,8 +29,6 @@ module Individual : sig
 
   val win_weight : t -> proc:int -> int -> float
   (** Probability the next step is a win by [proc]. *)
-
-  val any_win_weight : t -> int -> float
 end
 
 module Global : sig
@@ -40,7 +38,6 @@ module Global : sig
   }
 
   val make : n:int -> t
-  val any_win_weight : t -> int -> float
 
   val return_time_v1 : n:int -> float
   (** Expected return time of v₁ (= the system latency W), computed

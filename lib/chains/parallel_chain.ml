@@ -38,13 +38,6 @@ module Individual = struct
   let completion_weight t ~proc i =
     let counters = t.decode i in
     if counters.(proc) = t.q - 1 then 1. /. float_of_int t.n else 0.
-
-  let any_completion_weight t i =
-    let counters = t.decode i in
-    let ready =
-      Array.fold_left (fun acc c -> if c = t.q - 1 then acc + 1 else acc) 0 counters
-    in
-    float_of_int ready /. float_of_int t.n
 end
 
 module System = struct

@@ -22,7 +22,6 @@ module Individual : sig
   (** qⁿ states; keep n·log q small (guarded at qⁿ ≤ 200_000). *)
 
   val completion_weight : t -> proc:int -> int -> float
-  val any_completion_weight : t -> int -> float
 end
 
 module System : sig
@@ -37,8 +36,6 @@ module System : sig
 
   val make : n:int -> q:int -> t
   (** C(n+q−1, q−1) states. *)
-
-  val any_completion_weight : t -> int -> float
 
   val system_latency : n:int -> q:int -> float
   (** Exactly q (Lemma 11); computed from the chain, asserted exact in

@@ -83,6 +83,7 @@ let shrink_failure ?gates ~structure ~n ~ops ~plan ~mix_seed schedule =
 
 let run ?(config = default) ~spec ~structure ~n ~ops () =
   let failures = ref [] in
+  let ran = ref 0 in
   for t = 0 to config.trials - 1 do
     let rng = Stats.Rng.create ~seed:(config.seed + (7919 * t)) in
     let len = 1 + Stats.Rng.int rng config.max_len in
@@ -99,6 +100,7 @@ let run ?(config = default) ~spec ~structure ~n ~ops () =
        but merged with an explicit base plan the union can still crash
        everyone — skip such draws rather than fail. *)
     if valid ~n plan then begin
+      incr ran;
       let gates = config.gates in
       let out = run_one ~gates ~structure ~n ~ops ~plan ~mix_seed schedule in
       if Schedule.is_bad out.verdict then begin
@@ -122,6 +124,6 @@ let run ?(config = default) ~spec ~structure ~n ~ops () =
   done;
   {
     structure = structure.Checkable.name;
-    trials = config.trials;
+    trials = !ran;
     failures = List.rev !failures;
   }

@@ -36,7 +36,11 @@ type failure = {
   verdict : string;
 }
 
-type report = { structure : string; trials : int; failures : failure list }
+type report = {
+  structure : string;
+  trials : int;  (** Trials that ran; skipped draws are not counted. *)
+  failures : failure list;
+}
 
 val run :
   ?config:config ->
@@ -47,5 +51,6 @@ val run :
   unit ->
   report
 (** Fault plans are instantiated per trial from [spec]; draws whose
-    merged plan would permanently crash every process are skipped.
+    merged plan would permanently crash every process are skipped, and
+    [trials] counts only the rest, so [0] means nothing was tested.
     Deterministic for a given (config, spec, structure, n, ops). *)

@@ -63,9 +63,6 @@ let validate ?(eps = 1e-9) t =
     Ok ()
   with Bad msg -> Error msg
 
-let transition_prob t i j =
-  List.fold_left (fun acc (k, p) -> if k = j then acc +. p else acc) 0. (t.row i)
-
 let dense t =
   let m = Array.make_matrix t.size t.size 0. in
   for i = 0 to t.size - 1 do

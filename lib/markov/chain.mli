@@ -34,9 +34,6 @@ val validate : ?eps:float -> t -> (unit, string) result
     (stricter than [create]'s eager check, which permits duplicate
     targets since their probabilities add). *)
 
-val transition_prob : t -> int -> int -> float
-(** [transition_prob t i j] is [p_ij] (0 when absent). *)
-
 val dense : t -> float array array
 (** Materializes the transition matrix.  Intended for small chains. *)
 

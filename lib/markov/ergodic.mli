@@ -12,8 +12,5 @@ val period : Chain.t -> int
     gcd of all cycle lengths through state 0.  Requires the chain to be
     irreducible; raises [Invalid_argument] otherwise. *)
 
-val is_aperiodic : Chain.t -> bool
-(** [period t = 1]. *)
-
 val is_ergodic : Chain.t -> bool
 (** Irreducible and aperiodic. *)

@@ -68,15 +68,6 @@ let expected_return_time t i =
   let pi = compute t in
   1. /. pi.(i)
 
-let ergodic_flow t pi =
-  let flows = ref [] in
-  for i = t.Chain.size - 1 downto 0 do
-    List.iter
-      (fun (j, p) -> if p > 0. then flows := (i, j, pi.(i) *. p) :: !flows)
-      (t.Chain.row i)
-  done;
-  !flows
-
 let success_rate t ~pi ~weight =
   let acc = ref 0. in
   for i = 0 to t.Chain.size - 1 do

@@ -30,9 +30,6 @@ val compute : Chain.t -> float array
 val expected_return_time : Chain.t -> int -> float
 (** [1 / π_i] (Theorem 1). *)
 
-val ergodic_flow : Chain.t -> float array -> (int * int * float) list
-(** [(i, j, Q_ij)] with Q_ij = π_i p_ij over all positive transitions. *)
-
 val success_rate : Chain.t -> pi:float array -> weight:(int -> float) -> float
 (** Σ_i π_i · weight(i): the stationary rate of any event whose
     per-state probability is [weight].  The paper's latency arguments

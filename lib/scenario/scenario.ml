@@ -42,6 +42,28 @@ type t = {
 let stock_names = List.map (fun (s : Checkable.t) -> s.name) Checkable.stock
 let all_names = List.map (fun (s : Checkable.t) -> s.name) Checkable.all
 
+(* Structure lists: the one check that names are Checkable names, and
+   the one parser of `stock` / `all` / `a,b` (empty entries dropped;
+   an empty list is left to [validate] or the caller). *)
+let check_structures names =
+  match
+    List.find_opt
+      (fun name ->
+        match Checkable.find name with
+        | _ -> false
+        | exception Invalid_argument _ -> true)
+      names
+  with
+  | Some unknown -> Error (Printf.sprintf "unknown structure %S" unknown)
+  | None -> Ok names
+
+let parse_structures = function
+  | "stock" -> Ok stock_names
+  | "all" -> Ok all_names
+  | names ->
+      check_structures
+        (List.filter (fun x -> x <> "") (String.split_on_char ',' names))
+
 let rates_spec rates = { Fault_plan.base = Fault_plan.none; rates }
 
 (* Presets.  Budgets scale roughly 1 : 10 : 50 across quick / standard
@@ -140,7 +162,6 @@ let make ?n ?ops ?seed ?mix_seed ?faults ?sources ?gates ?budget ~structures ()
 let with_structures structures t = { t with structures }
 let with_workload ~n ~ops t = { t with n; ops }
 let with_seed seed t = { t with seed }
-let with_mix_seed mix_seed t = { t with mix_seed }
 let with_faults faults t = { t with faults }
 let with_sources sources t = { t with sources }
 let with_gates gates t = { t with gates }
@@ -199,26 +220,6 @@ let parse_int token what s =
   | Some i -> Ok i
   | None -> bad token "%S is not an integer (%s)" s what
 
-let parse_structures_field token value =
-  match value with
-  | "stock" -> Ok stock_names
-  | "all" -> Ok all_names
-  | names -> (
-      let names =
-        List.filter (fun x -> x <> "") (String.split_on_char ',' names)
-      in
-      if names = [] then bad token "no structure names"
-      else
-        match
-          List.find_opt
-            (fun name ->
-              match Checkable.find name with
-              | _ -> false
-              | exception Invalid_argument _ -> true)
-            names
-        with
-        | Some unknown -> bad token "unknown structure %S" unknown
-        | None -> Ok names)
 
 let parse_source token s =
   match s with
@@ -353,9 +354,10 @@ let parse s =
                           (String.concat ", " (List.map fst presets)))
               | "structures" ->
                   continue
-                    (Result.map
-                       (fun structures -> { acc with structures })
-                       (parse_structures_field token value))
+                    (match parse_structures value with
+                    | Ok [] -> bad token "no structure names"
+                    | Ok structures -> Ok { acc with structures }
+                    | Error msg -> bad token "%s" msg)
               | "n" ->
                   continue
                     (Result.map
@@ -417,18 +419,7 @@ let validate t =
   let* () =
     if t.structures = [] then Error "scenario has no structures" else Ok ()
   in
-  let* () =
-    match
-      List.find_opt
-        (fun name ->
-          match Checkable.find name with
-          | _ -> false
-          | exception Invalid_argument _ -> true)
-        t.structures
-    with
-    | Some unknown -> Error (Printf.sprintf "unknown structure %S" unknown)
-    | None -> Ok ()
-  in
+  let* (_ : string list) = check_structures t.structures in
   let* () =
     if t.n < 1 || t.ops < 1 then Error "need n >= 1 and ops >= 1" else Ok ()
   in
@@ -517,6 +508,7 @@ type outcome = {
   failures : failure list;
   gates_failed : int;
   trials : int;
+  untried : string list;
   passed : bool;
 }
 
@@ -573,6 +565,7 @@ let run ?(on_event = fun _ -> ()) ?(now = fun () -> 0.) t =
   let gates = gates_record t in
   let failures = ref [] in
   let trials = ref 0 in
+  let untried = ref [] in
   let add f = failures := f :: !failures in
   let fault_spec_string =
     if Fault_plan.spec_is_none t.faults then ""
@@ -665,6 +658,7 @@ let run ?(on_event = fun _ -> ()) ?(now = fun () -> 0.) t =
                   ~ops:t.ops ()
               in
               trials := !trials + r.trials;
+              if r.trials = 0 then untried := s.name :: !untried;
               on_event
                 (Chaos_done
                    { structure = s.name; report = r; elapsed = now () -. t0 });
@@ -746,10 +740,12 @@ let run ?(on_event = fun _ -> ()) ?(now = fun () -> 0.) t =
     on_event (Conform_done { report = r; elapsed = now () -. t0 })
   end;
   let failures = List.rev !failures in
+  let untried = List.rev !untried in
   {
     scenario = t;
     failures;
     gates_failed = !gates_failed;
     trials = !trials;
-    passed = failures = [] && !gates_failed = 0;
+    untried;
+    passed = failures = [] && !gates_failed = 0 && untried = [];
   }

@@ -82,7 +82,6 @@ val make :
 val with_structures : string list -> t -> t
 val with_workload : n:int -> ops:int -> t -> t
 val with_seed : int -> t -> t
-val with_mix_seed : int option -> t -> t
 val with_faults : Sched.Fault_plan.spec -> t -> t
 val with_sources : source list -> t -> t
 val with_gates : gate list -> t -> t
@@ -112,14 +111,20 @@ val preset : string -> t option
 
     [;]-separated [key=value] fields:
     [structures=NAME,...] (or [stock]/[all]), [n=K], [ops=K],
-    [seed=K], [mix=K], [faults=SPEC] (the [--faults] grammar,
-    or [none]), [sources=S,...] with [S] one of [explore], [fuzz],
+    [seed=K], [mix=K], [faults=SPEC] ({!Sched.Fault_plan.parse_spec}:
+    events and rates, [none], or a tier name), [sources=S,...] with [S] one of [explore], [fuzz],
     [chaos], [replay@P.P.P:stop|rr], [load@CLIENTSxOPS],
     [gates=lin|shadow|conform,...], and
     [budget=explore:NxD,fuzz:TxS,chaos:T,conform:smoke|long].
     A leading [preset=NAME] field selects the base the remaining
     fields override (default base: [standard]).  Errors are one-line
     messages naming the bad token. *)
+
+val parse_structures : string -> (string list, string) result
+(** A structure list as [--structures] and the [structures=] field
+    take it: [stock], [all], or comma-separated {!Scu.Checkable} names
+    (empty entries dropped, so [""] is [Ok []]).  Errors name the
+    first unknown structure. *)
 
 val to_string : t -> string
 (** Canonical, fully explicit (never emits [preset=]); round-trips
@@ -181,7 +186,11 @@ type outcome = {
   failures : failure list;
   gates_failed : int;  (** Failed conform gates. *)
   trials : int;  (** Fuzz + chaos trials actually run. *)
-  passed : bool;  (** No failures and no failed gates. *)
+  untried : string list;
+      (** Structures a [Chaos] source ran no trial for: every fault
+          plan it drew crashed all [n] processes, so nothing was
+          tested.  In run order. *)
+  passed : bool;  (** No failures, no failed gates, nothing untried. *)
 }
 
 val run : ?on_event:(event -> unit) -> ?now:(unit -> float) -> t -> outcome

@@ -316,7 +316,8 @@ let down_for_good t p ~now =
                     (P may be '*' for every process)
    plus rate entries expanded by {!instantiate}:
      crash~R  recover~R  stall~R:D  casfail~R
-   The empty string and "none" denote the empty plan. *)
+   The empty string and "none" denote the empty plan; a tier name
+   (quick, standard, century, chaos) alone denotes that tier's rates. *)
 
 let event_to_token (time, e) =
   match e with
@@ -436,7 +437,9 @@ let parse_spec s =
             | Ok () -> go events spurious rates rest
             | Error msg -> Error (Printf.sprintf "bad --faults token %S: %s" tok msg))
   in
-  go [] [] zero_rates tokens
+  match tier_rates s with
+  | Some rates -> Ok { base = none; rates }
+  | None -> go [] [] zero_rates tokens
 
 let rates_are_zero r =
   r.crash = 0. && r.recover = 0. && r.stall = 0. && r.casfail = 0.

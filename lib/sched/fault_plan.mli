@@ -168,8 +168,11 @@ val parse_spec : string -> (spec, string) result
 (** Grammar (comma-separated tokens; [""] and ["none"] are empty):
     [crash@T:P], [restart@T:P], [stall@T:P+D], [casfail:P=R] (P may be
     [*]), and rate entries [crash~R], [recover~R], [stall~R:D],
-    [casfail~R].  Rate entries must pass {!validate_rates}.  Errors are
-    one-line messages naming the bad token. *)
+    [casfail~R].  Rate entries must pass {!validate_rates}.  A spec
+    that is exactly one tier name ({!tier_rates}) is that tier's rates
+    with no explicit events; a tier name is not a token, so it does
+    not combine with others.  Errors are one-line messages naming the
+    bad token. *)
 
 val spec_is_none : spec -> bool
 

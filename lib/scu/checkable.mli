@@ -14,7 +14,7 @@
     returns its operation, an optional crash-recovery settlement and
     its invariant.  [instantiate "name" record] derives the recorder,
     the plan, the recovery-safe program loop and the {!instance}; list
-    it in {!stock}, {!all} or {!mutants}.  A [build] must allocate its
+    it in {!stock}, {!all} or the drill mutants.  A [build] must allocate its
     cells (and draw any randomness) in a fixed order: the explorer
     hashes [Sim.Memory.snapshot] to prune states, and the goldens pin
     its node counts.
@@ -98,13 +98,11 @@ val all : t list
     blind write: duplicate counter values, lost pushes / double pops,
     double dequeues. *)
 
-val mutants : t list
-(** Drill variants kept out of {!all} so `--structures all` sweeps are
-    unchanged.  Currently [counter-misreport]: an atomic counter whose
-    increments are real (the structural invariant holds) but whose
-    reported pre-values are off by one — invisible to the invariant
-    hook, caught by the spec-replay gates. *)
-
 val find : string -> t
-(** Searches {!all} and {!mutants}; raises [Invalid_argument] with the
-    known names on a miss. *)
+(** Searches {!all} and the drill mutants kept out of it so
+    `--structures all` sweeps are unchanged.  The one mutant is
+    [counter-misreport]: an atomic counter whose increments are real
+    (the structural invariant holds) but whose reported pre-values
+    are off by one — invisible to the invariant hook, caught by the
+    spec-replay gates.  Raises [Invalid_argument] with the known
+    names on a miss. *)

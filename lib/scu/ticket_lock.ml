@@ -40,6 +40,3 @@ let make ~n =
   }
 
 let value t mem = Memory.get mem t.counter
-
-let holder_waiting t mem =
-  Memory.get mem t.next_ticket - Memory.get mem t.now_serving

@@ -31,6 +31,3 @@ val make : n:int -> t
 val value : t -> Sim.Memory.t -> int
 (** Current counter value. *)
 
-val holder_waiting : t -> Sim.Memory.t -> int
-(** Tickets handed out minus tickets served: > 1 means processes are
-    queued behind the lock. *)

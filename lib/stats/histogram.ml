@@ -41,11 +41,6 @@ let total t =
 
 let bin_lo t i = t.lo +. (float_of_int i *. t.width)
 
-let density t =
-  let n = total t in
-  if n = 0 then Array.make (Array.length t.counts) 0.
-  else Array.map (fun c -> float_of_int c /. float_of_int n) t.counts
-
 let pp ppf t =
   let n = total t in
   let peak = Array.fold_left Stdlib.max 1 t.counts in

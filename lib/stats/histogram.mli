@@ -22,12 +22,5 @@ val total : t -> int
 val bin_of : t -> float -> int option
 (** Index of the bin [x] falls into, if in range. *)
 
-val bin_lo : t -> int -> float
-(** Lower edge of bin [i]. *)
-
-val density : t -> float array
-(** Normalized bin masses (sum over in-range bins = in-range fraction
-    of observations); all zeros when empty. *)
-
 val pp : Format.formatter -> t -> unit
 (** Text rendering, one row per bin with a proportional bar. *)

@@ -12,8 +12,6 @@ val create : unit -> t
 val add : t -> float -> unit
 (** Record one observation. *)
 
-val add_many : t -> float array -> unit
-
 val count : t -> int
 val mean : t -> float
 (** Mean of the observations; [nan] if empty. *)

@@ -27,9 +27,6 @@ type t = {
 
 val schema : string
 
-val date_of : float -> string
-(** Local ISO date of a Unix timestamp. *)
-
 val default_filename : t -> string
 (** [BENCH_<date>.json]. *)
 

@@ -106,8 +106,6 @@ val schema_v2 : string
 (** ["repro-load-manifest/2"], used when any extension field is
     present. *)
 
-val is_v2 : t -> bool
-
 val to_json : t -> Json.t
 
 val to_string : ?compact:bool -> t -> string

@@ -269,6 +269,35 @@ let test_chaos_deterministic () =
   in
   Alcotest.(check bool) "same failures both runs" true (run () = run ())
 
+(* A trial whose plan crashes every process is skipped, and a skipped
+   trial tested nothing: [trials] counts the rest, and a scenario whose
+   chaos source ran none for a structure fails. *)
+let test_chaos_counts_trials_run () =
+  let trials spec =
+    match Sched.Fault_plan.parse_spec spec with
+    | Error msg -> Alcotest.fail msg
+    | Ok spec ->
+        (Check.Chaos.run
+           ~config:{ Check.Chaos.default with trials = 15; seed = 0 }
+           ~spec ~structure:(find "treiber-nocas") ~n:3 ~ops:2 ())
+          .Check.Chaos.trials
+  in
+  Alcotest.(check int) "every plan crashes all 3" 0 (trials "crash@0:2,crash~1");
+  Alcotest.(check int) "some plans crash all 3" 11
+    (trials "crash@0:2,crash~0.5");
+  Alcotest.(check int) "no plan crashes all 3" 15 (trials "crash@0:2");
+  match
+    Scenario.parse
+      "structures=cas-counter,treiber-nocas;n=3;ops=2;sources=chaos;faults=crash@0:2,crash~1"
+  with
+  | Error msg -> Alcotest.fail msg
+  | Ok scn ->
+      let o = Scenario.run scn in
+      Alcotest.(check int) "no trial ran" 0 o.trials;
+      Alcotest.(check (list string)) "both structures untried"
+        [ "cas-counter"; "treiber-nocas" ] o.untried;
+      Alcotest.(check bool) "the run fails" false o.passed
+
 (* The fault-rate drill rides next to the fuzzer as a scenario source
    of its own: a [Fuzz; Chaos] scenario reports chaos failures. *)
 let test_fuzz_faults_flag_adds_chaos_source () =
@@ -460,6 +489,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_chaos_deterministic;
           Alcotest.test_case "fuzz --faults adds chaos source" `Quick
             test_fuzz_faults_flag_adds_chaos_source;
+          Alcotest.test_case "trials counts the trials run" `Quick
+            test_chaos_counts_trials_run;
         ] );
       ( "pinned",
         [

@@ -418,6 +418,23 @@ let test_check_bad_crash_spec_rejected () =
       Alcotest.(check bool) "5:p named" true
         (contains err "component \"5:p\" is not T:P"))
 
+let test_replay_only_flags_rejected () =
+  (* --crash and --mix-seed only mean something to --replay; without it
+     they used to be parsed and then ignored. *)
+  with_scratch_dir (fun dir ->
+      let rejected = check_usage_error dir in
+      rejected "check --crash"
+        "check --mode explore --structures cas-counter -n 2 --ops 2 --crash 0:1"
+        "--crash needs --replay";
+      rejected "check --mix-seed"
+        "check --mode explore --structures cas-counter -n 2 --ops 2 --mix-seed \
+         3"
+        "--mix-seed needs --replay";
+      rejected "chaos --mix-seed"
+        "chaos --quick --structures treiber --no-sweep --no-manifest --mix-seed \
+         3"
+        "--mix-seed needs --replay")
+
 (* -- Legacy stdout pinned against golden files ------------------------ *)
 
 (* `repro check` and `repro chaos` now route through Scenario.t; the
@@ -650,6 +667,224 @@ let test_serve_error_budget () =
       Alcotest.(check bool) "soak verdict printed" true
         (contains out1 "serve: 2 window(s): ok="))
 
+(* -- Fault specs and trial accounting ---------------------------------- *)
+
+let test_tier_names_everywhere () =
+  (* A tier name is a whole fault spec in every subcommand, as it
+     always was for load and serve. *)
+  with_scratch_dir (fun dir ->
+      let chaos faults =
+        run dir ("chaos --quick --no-sweep --no-manifest --faults " ^ faults)
+      in
+      let code, named, err = chaos "standard" in
+      Alcotest.(check int) ("--faults standard exits 0; stderr: " ^ err) 0 code;
+      let code, spelled, _ =
+        chaos "crash~0.002,recover~0.05,stall~0.002:3,casfail~0.02"
+      in
+      Alcotest.(check int) "spelled-out rates exit 0" 0 code;
+      Alcotest.(check string) "same stdout as the rates spelled out" spelled
+        named;
+      let code, out, err = run dir "scenario --spec 'faults=chaos' --print" in
+      Alcotest.(check int) ("faults=chaos exits 0; stderr: " ^ err) 0 code;
+      Alcotest.(check bool) ("chaos rates written out: " ^ out) true
+        (contains out ";faults=crash~0.01,recover~0.05,stall~0.01:5,casfail~0.1;"))
+
+let test_no_trial_fails () =
+  (* With crash@0:2 every crash~1 draw crashes the other two processes
+     too, so no plan keeps a survivor and every trial is skipped.  That
+     tested nothing: the run must fail and say for which structure. *)
+  with_scratch_dir (fun dir ->
+      let spec =
+        "'structures=treiber-nocas;n=3;ops=2;sources=chaos;faults=crash@0:2,crash~1'"
+      in
+      let fails label args =
+        let code, out, err = run dir args in
+        Alcotest.(check int) (label ^ " exits 1; stderr: " ^ err) 1 code;
+        Alcotest.(check int)
+          (label ^ ": one stderr line names the structure; stderr: " ^ err)
+          1
+          (List.length
+             (List.filter
+                (fun l -> contains l "no chaos trial ran for treiber-nocas")
+                (String.split_on_char '\n' err)));
+        out
+      in
+      let out =
+        fails "chaos"
+          "chaos --quick --structures treiber-nocas --no-sweep --no-manifest \
+           --faults crash@0:2,crash~1"
+      in
+      Alcotest.(check bool) ("chaos reports trials=0: " ^ out) true
+        (contains out "treiber-nocas  trials=0 failures=0");
+      let out = fails "scenario" ("scenario --spec " ^ spec) in
+      Alcotest.(check bool) ("scenario counts 0 trials: " ^ out) true
+        (contains out "across 0 trial(s)");
+      let out =
+        fails "preflight"
+          ("run fig1 --quick --no-progress --no-manifest --preflight " ^ spec)
+      in
+      Alcotest.(check string) "no experiment ran" "" out)
+
+(* -- Every subcommand's options --------------------------------------- *)
+
+(* The option lines of each subcommand's `--help=plain` (names, value
+   names and defaults) as they were before the front end was cut down
+   to one parser per input, so no flag is lost, renamed or given
+   another default.  The -j default is this machine's core count. *)
+let pinned_options =
+  let jobs = string_of_int (Pool.default_size ()) in
+  [
+    ( "list",
+      [
+      ] );
+    ( "run",
+      [
+        "--cache";
+        "--csv";
+        "--fault=LABEL:K";
+        "-j N, --jobs=N (absent=" ^ jobs ^ ")";
+        "--no-backoff";
+        "--no-manifest";
+        "--no-progress";
+        "--out=DIR";
+        "--preflight=SCENARIO";
+        "--quick";
+        "--resume=MANIFEST";
+        "--retries=N (absent=2)";
+        "--seed=N (absent=0)";
+        "--timeout=SECONDS";
+      ] );
+    ( "bench",
+      [
+        "--full";
+        "--gate=BASELINE";
+        "--no-progress";
+        "--out=FILE";
+        "--preflight=SCENARIO";
+        "--repeat=N (absent=1)";
+        "--seed=N (absent=0)";
+      ] );
+    ( "check",
+      [
+        "--crash=T:P[,T:P...]";
+        "--expect-bug";
+        "--long";
+        "--mix-seed=N";
+        "--mode=MODES (absent=explore,fuzz,conform)";
+        "-n N, --procs=N (absent=3)";
+        "--ops=K (absent=2)";
+        "--out=DIR";
+        "--replay=SCHEDULE";
+        "--seed=N (absent=0)";
+        "--structures=NAMES (absent=stock)";
+        "--tail=MODE (absent=stop)";
+      ] );
+    ( "chaos",
+      [
+        "--expect-bug";
+        "--faults=SPEC";
+        "--mix-seed=N";
+        "-n N, --procs=N (absent=3)";
+        "--no-manifest";
+        "--no-sweep";
+        "--ops=K (absent=2)";
+        "--out=DIR";
+        "--quick";
+        "--replay=SCHEDULE";
+        "--seed=N (absent=0)";
+        "--structures=NAMES (absent=stock)";
+        "--trials=N";
+      ] );
+    ( "scenario",
+      [
+        "--expect-bug";
+        "--list";
+        "-n N, --procs=N";
+        "--ops=K";
+        "--out=DIR";
+        "--preset=NAME";
+        "--print";
+        "--seed=N";
+        "--spec=SPEC";
+        "--structures=NAMES";
+      ] );
+    ( "load",
+      [
+        "--alpha=A (absent=1.1)";
+        "--arrival=KIND (absent=poisson)";
+        "--backoff=STEPS (absent=16)";
+        "--burst=N (absent=8)";
+        "--clients=N (absent=100000)";
+        "--deadline=STEPS (absent=0)";
+        "--expect-degraded";
+        "--expect-pass";
+        "--faults=SPEC";
+        "--hedge=STEPS (absent=0)";
+        "--idle=STEPS (absent=200.)";
+        "-j N, --jobs=N (absent=" ^ jobs ^ ")";
+        "--max-steps=N (absent=200000000)";
+        "--mode=MODE (absent=closed)";
+        "--no-progress";
+        "--ns=N,N,... (absent=2,4,8)";
+        "--objects=N (absent=64)";
+        "--ops=K (absent=1)";
+        "--out=FILE";
+        "--rate=R (absent=0.02)";
+        "--retries=N (absent=0)";
+        "--seed=N (absent=0)";
+        "--shards=N (absent=8)";
+        "--slo";
+        "--slo-requests=N (absent=40000)";
+        "--structures=NAMES, --structure=NAMES (absent=counter)";
+        "--think=STEPS (absent=0.)";
+        "--workers=N (absent=8)";
+      ] );
+    ( "serve",
+      [
+        "--alpha=A (absent=1.1)";
+        "--arrival=KIND (absent=poisson)";
+        "--backoff=STEPS (absent=16)";
+        "--burst=N (absent=8)";
+        "--clients=N (absent=100000)";
+        "--deadline=STEPS (absent=0)";
+        "--faults=SPEC";
+        "--hedge=STEPS (absent=0)";
+        "--idle=STEPS (absent=200.)";
+        "-j N, --jobs=N (absent=" ^ jobs ^ ")";
+        "--max-steps=N (absent=200000000)";
+        "--mode=MODE (absent=closed)";
+        "--no-progress";
+        "--objects=N (absent=64)";
+        "--ops=K (absent=1)";
+        "--out=FILE";
+        "--rate=R (absent=0.02)";
+        "--retries=N (absent=0)";
+        "--seed=N (absent=0)";
+        "--shards=N (absent=8)";
+        "--slo-target=A (absent=0.999)";
+        "--structures=NAMES, --structure=NAMES (absent=counter)";
+        "--think=STEPS (absent=0.)";
+        "--windows=N (absent=5)";
+        "--workers=N (absent=8)";
+      ] );
+  ]
+
+let test_options_pinned () =
+  with_scratch_dir (fun dir ->
+      List.iter
+        (fun (cmd, want) ->
+          let code, out, err = run dir (cmd ^ " --help=plain") in
+          Alcotest.(check int) (cmd ^ " --help exits 0; stderr: " ^ err) 0 code;
+          let got =
+            String.split_on_char '\n' out
+            |> List.filter (String.starts_with ~prefix:"       -")
+            |> List.map String.trim
+            |> List.filter (fun l ->
+                   l <> "--help[=FMT] (default=auto)" && l <> "--version")
+          in
+          Alcotest.(check (list string)) (cmd ^ " options") want got)
+        pinned_options)
+
 (* -- repro scenario --------------------------------------------------- *)
 
 let test_scenario_list () =
@@ -788,6 +1023,10 @@ let () =
             test_load_bad_ns_rejected;
           Alcotest.test_case "check --crash bad component named" `Quick
             test_check_bad_crash_spec_rejected;
+          Alcotest.test_case "replay-only flags need --replay" `Quick
+            test_replay_only_flags_rejected;
+          Alcotest.test_case "options and defaults pinned" `Quick
+            test_options_pinned;
         ] );
       ( "chaos",
         [
@@ -797,6 +1036,10 @@ let () =
             test_chaos_violation_drill;
           Alcotest.test_case "manifest records faults" `Quick
             test_chaos_manifest_records_faults;
+          Alcotest.test_case "tier names in every --faults" `Quick
+            test_tier_names_everywhere;
+          Alcotest.test_case "no trial run fails the run" `Quick
+            test_no_trial_fails;
         ] );
       ("golden", golden_cases);
       ( "load-robust",

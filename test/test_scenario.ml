@@ -324,6 +324,36 @@ let test_preset_base_overridden () =
       Alcotest.(check int) "ops inherited from quick" Scenario.quick.Scenario.ops
         t.Scenario.ops
 
+let test_structure_lists () =
+  (* One parser serves --structures and structures=; the list check
+     inside it is the one validate runs. *)
+  let names l = List.map (fun (s : Scu.Checkable.t) -> s.name) l in
+  let parses s want =
+    Alcotest.(check (result (list string) string)) s want
+      (Scenario.parse_structures s)
+  in
+  parses "stock" (Ok (names Scu.Checkable.stock));
+  parses "all" (Ok (names Scu.Checkable.all));
+  parses "treiber,,msqueue" (Ok [ "treiber"; "msqueue" ]);
+  parses "counter-misreport" (Ok [ "counter-misreport" ]);
+  parses "treiber,nope,wat" (Error "unknown structure \"nope\"");
+  parses "" (Ok []);
+  let base = Scenario.quick in
+  Alcotest.(check (result unit string)) "validate: unknown"
+    (Error "unknown structure \"nope\"")
+    (Scenario.validate (Scenario.with_structures [ "nope" ] base));
+  Alcotest.(check (result unit string)) "validate: empty"
+    (Error "scenario has no structures")
+    (Scenario.validate (Scenario.with_structures [] base));
+  Alcotest.(check (result unit string)) "validate: a list name is no name"
+    (Error "unknown structure \"stock\"")
+    (Scenario.validate (Scenario.with_structures [ "stock" ] base));
+  match Scenario.parse "structures=" with
+  | Ok _ -> Alcotest.fail "structures= parsed"
+  | Error msg ->
+      Alcotest.(check string) "structures= names the token"
+        "bad --spec token \"structures=\": no structure names" msg
+
 let check_error spec want () =
   match Scenario.parse spec with
   | Ok _ -> Alcotest.fail (Printf.sprintf "%S parsed but should not" spec)
@@ -450,6 +480,7 @@ let () =
           Alcotest.test_case "preset base + overrides" `Quick
             test_preset_base_overridden;
         ]
-        @ error_cases );
+        @ error_cases
+        @ [ Alcotest.test_case "structure lists" `Quick test_structure_lists ] );
       ("validate", validate_cases);
     ]

@@ -377,6 +377,29 @@ let test_fault_plan_rates_validated () =
   Alcotest.(check bool) "validate_rates on a record" true
     (FP.validate_rates { FP.standard_rates with casfail = 1. } <> Ok ())
 
+let test_fault_plan_tier_names () =
+  (* A spec that is exactly one tier name is that tier's rates, so
+     every --faults and faults= accepts the names `load` always took.
+     A tier name is not a token: it does not combine with events. *)
+  List.iter
+    (fun (name, rates) ->
+      match FP.parse_spec name with
+      | Ok spec ->
+          Alcotest.(check bool) (name ^ " is its tier's rates") true
+            (spec = { FP.base = FP.none; rates })
+      | Error msg -> Alcotest.failf "%s rejected: %s" name msg)
+    [
+      ("quick", FP.quick_rates);
+      ("standard", FP.standard_rates);
+      ("century", FP.century_rates);
+      ("chaos", FP.chaos_rates);
+    ];
+  match FP.parse_spec "standard,crash@5:0" with
+  | Ok _ -> Alcotest.fail "standard,crash@5:0 accepted"
+  | Error msg ->
+      Alcotest.(check string) "the error names the tier token"
+        "bad --faults token \"standard\"" msg
+
 (* -- Streamed fault plans ------------------------------------------- *)
 
 (* The eager expansion a streamed plan must reproduce: walk the whole
@@ -685,6 +708,7 @@ let () =
             test_fault_plan_instantiate;
           Alcotest.test_case "merge and rates" `Quick test_fault_plan_merge_and_rates;
           Alcotest.test_case "rates validated" `Quick test_fault_plan_rates_validated;
+          Alcotest.test_case "tier names" `Quick test_fault_plan_tier_names;
         ] );
       ( "fault plan streaming",
         [
