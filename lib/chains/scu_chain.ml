@@ -199,32 +199,83 @@ module System = struct
 
   (* Same latency, computed from the CSR chain with the Gauss–Seidel
      stationary solve — no dense matrix, so it reaches n where the
-     state count is 10⁵–10⁶.  Separate cache: the two paths are
-     compared against each other in the conformance gates, so neither
-     may shadow the other's value. *)
-  let sparse_latency_cache : (int, float) Hashtbl.t = Hashtbl.create 16
-
+     state count is 10⁵–10⁶. *)
   let sparse_latency ?tol ~n () =
-    let cached =
-      Mutex.protect latency_lock (fun () ->
-          Hashtbl.find_opt sparse_latency_cache n)
+    let t = sparse ~n in
+    let pi = Markov.Sparse.stationary ?tol t in
+    let nf = float_of_int n in
+    let rate = ref 0. in
+    Array.iteri
+      (fun i p ->
+        let a, b = decode_index ~n i in
+        rate := !rate +. (p *. (float_of_int (n - a - b) /. nf)))
+      pi;
+    1. /. !rate
+
+  type rounds = { latency : float; iterations : int; residual : float }
+
+  let rounds_tol = 1e-14
+  let rounds_max_iters = 10_000
+
+  (* A round runs from one successful CAS to the next, so it starts in
+     (a₀, n − a₀) with c = 0 and is named by b₀ = n − a₀ ∈ [0, n).
+     Inside it b only falls and c only rises, so with a = n − b − c
+     the visit measure of a round started from the law μ is
+       v(b, c) = [c = 0]·μ(b) + v(b+1, c)·(b+1)/n + v(b, c−1)·(a+1)/n,
+     one sweep over b descending and c ascending in two rows.  Its
+     total is E_μ[round length]; its CCAS picks, v(b, c)·c/n, land on
+     the next start b + c − 1 and make up μK.  K is aperiodic (Read
+     then CCAS returns to the same start), so power iteration from the
+     uniform law reaches the stationary start law, and renewal-reward
+     gives W = E_μ[round length]. *)
+  let round_latency ~n =
+    if n < 1 then invalid_arg "Scu_chain.System.round_latency: n must be >= 1";
+    let nf = float_of_int n in
+    let frac = Array.init (n + 2) (fun k -> float_of_int k /. nf) in
+    let mu = Array.make n (1. /. nf) and next = Array.make n 0. in
+    let rows = [| Array.make (n + 2) 0.; Array.make (n + 2) 0. |] in
+    (* E_μ[round length]; μK is left in [next]. *)
+    let sweep () =
+      Array.fill next 0 n 0.;
+      (* Row b = n holds only (0, n), which no round visits. *)
+      Array.fill rows.(n land 1) 0 (n + 2) 0.;
+      let total = ref 0. in
+      for b = n - 1 downto 0 do
+        let up = rows.((b + 1) land 1) and row = rows.(b land 1) in
+        let old_cas = frac.(b + 1) in
+        let v = mu.(b) +. (up.(0) *. old_cas) in
+        row.(0) <- v;
+        total := !total +. v;
+        for c = 1 to n - b do
+          let v = (up.(c) *. old_cas) +. (row.(c - 1) *. frac.(n - b - c + 1)) in
+          row.(c) <- v;
+          total := !total +. v;
+          next.(b + c - 1) <- next.(b + c - 1) +. (v *. frac.(c))
+        done;
+        (* Row b − 1 reads one column past this row's end. *)
+        row.(n - b + 1) <- 0.
+      done;
+      !total
     in
-    match cached with
-    | Some w -> w
-    | None ->
-        let t = sparse ~n in
-        let pi = Markov.Sparse.stationary ?tol t in
-        let nf = float_of_int n in
-        let rate = ref 0. in
-        Array.iteri
-          (fun i p ->
-            let a, b = decode_index ~n i in
-            rate := !rate +. (p *. (float_of_int (n - a - b) /. nf)))
-          pi;
-        let w = 1. /. !rate in
-        Mutex.protect latency_lock (fun () ->
-            Hashtbl.replace sparse_latency_cache n w);
-        w
+    let rec iterate k =
+      let latency = sweep () in
+      let residual = ref 0. in
+      for i = 0 to n - 1 do
+        residual := !residual +. Float.abs (next.(i) -. mu.(i))
+      done;
+      if !residual <= rounds_tol then { latency; iterations = k; residual = !residual }
+      else if k >= rounds_max_iters then
+        failwith
+          (Printf.sprintf
+             "Scu_chain.System.round_latency: n=%d not converged after %d \
+              iterations (residual %.3g)"
+             n k !residual)
+      else begin
+        Array.blit next 0 mu 0 n;
+        iterate (k + 1)
+      end
+    in
+    iterate 1
 end
 
 let lift (ind : Individual.t) (sys : System.t) i =

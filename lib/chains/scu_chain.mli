@@ -91,10 +91,34 @@ module System : sig
       Dense path ([make] + [Markov.Stationary.compute]); memoized. *)
 
   val sparse_latency : ?tol:float -> n:int -> unit -> float
-  (** W computed from {!sparse} via Gauss–Seidel ({!Markov.Sparse.stationary});
-      memoized separately from [system_latency] so the conformance
-      gates can compare the two paths.  [tol] is the L1 residual bound
-      on ‖πP − π‖₁ (default 1e-12). *)
+  (** W computed from {!sparse} via Gauss–Seidel
+      ({!Markov.Sparse.stationary}); not memoized.  [tol] is the L1
+      residual bound on ‖πP − π‖₁ (default 1e-12).  The conformance
+      gates keep it as the reference for {!round_latency}. *)
+
+  type rounds = {
+    latency : float;  (** W. *)
+    iterations : int;  (** Sweeps run, at least 1. *)
+    residual : float;  (** The last ‖μK − μ‖₁, at most 1e-14. *)
+  }
+
+  val round_latency : n:int -> rounds
+  (** W solved round by round, without materializing the chain: the
+      large-n exact leg.  A round runs from one successful CAS to the
+      next; it starts in (n − b₀, b₀) with no process in CCAS, and
+      inside it b only falls and c = n − a − b only rises until a CCAS
+      pick ends it, so its states form a DAG.  One sweep over b
+      descending, c ascending, in two rows of length n + 2, computes
+      the visit measure of a round whose start b₀ has law μ:
+      {v v(b, c) = [c = 0]·μ(b) + v(b+1, c)·(b+1)/n + v(b, c−1)·(a+1)/n v}
+      giving E_μ[round length] = Σ v, and the law μK of the next start
+      (v(b, c)·c/n lands on b + c − 1).  Power iteration from the
+      uniform law stops once ‖μK − μ‖₁ ≤ 1e-14, and then
+      W = E_μ[round length] by renewal-reward.  O(n²) time per sweep;
+      about 9√n sweeps.  The result carries its certificate (sweep
+      count and final residual); [Failure] naming n and the residual if
+      10,000 sweeps do not reach the bound, so an uncertified W is
+      never returned.  No shared state, no memo table. *)
 end
 
 val lift : Individual.t -> System.t -> int -> int

@@ -17,9 +17,9 @@ type budget = {
   rel_tol : float;  (** Relative error allowed on chain predictions. *)
   ks_tol : float;  (** Two-sample KS distance allowed between halves. *)
   sparse_ns : int * int;
-      (** Populations (n₁, n₂) for the sparse lumped-chain legs; n₂'s
-          chain has (n₂+1)(n₂+2)/2 − 1 states and the pair feeds the
-          Richardson extrapolation of W/√n. *)
+      (** Populations (n₁, n₂) for the large-n exact legs, solved round
+          by round; n₂'s lumped chain has (n₂+1)(n₂+2)/2 − 1 states and
+          the pair feeds the Richardson extrapolation of W/√n. *)
 }
 
 let smoke =
@@ -29,8 +29,8 @@ let smoke =
     fuzz_trials = 60;
     rel_tol = 0.10;
     ks_tol = 0.05;
-    (* n = 450 → 101,925 states: past the 10⁵ mark, ~5 s of
-       Gauss–Seidel. *)
+    (* n = 450 → 101,925 states: past the 10⁵ mark, ~0.1 s round
+       by round. *)
     sparse_ns = (256, 450);
   }
 
@@ -41,7 +41,7 @@ let long =
     fuzz_trials = 600;
     rel_tol = 0.05;
     ks_tol = 0.02;
-    (* n = 1000 → 501,500 states (~80 s); nightly only. *)
+    (* n = 1000 → 501,500 states, ~1 s round by round. *)
     sparse_ns = (450, 1000);
   }
 
@@ -236,13 +236,14 @@ let linearizability_gates ~budget ~seed =
 (* Tentpole cross-validation: three independent legs of the Θ(√n)
    completion-law, each reaching a scale the others cannot.
 
-   Leg 1 (exact, sparse): the lumped (a, b) chain in CSR form, solved
-   by Gauss–Seidel at 10⁵ states (smoke) / 5·10⁵ (long) — far past the
-   dense solver's ~4000-state ceiling — and pinned three ways: against
-   the dense path where both exist, against the √(πn) asymptote
-   directly, and via Richardson extrapolation (the W(n) ≈ √(πn) + c
-   tail makes the slope of W against √n converge to √π like 1/n, so
-   the extrapolated constant lands within ~1e-3 already at n ≈ 450).
+   Leg 1 (exact): the lumped (a, b) chain solved round by round at
+   10⁵ states (smoke) / 5·10⁵ (long) — far past the dense solver's
+   ~4000-state ceiling — and pinned three ways: against Gauss–Seidel
+   on the CSR chain at n = 256 (itself checked against the dense path
+   at n = 64), against the √(πn) asymptote directly, and via
+   Richardson extrapolation (the W(n) ≈ √(πn) + c tail makes the
+   slope of W against √n converge to √π like 1/n, so the extrapolated
+   constant lands within ~1e-3 already at n ≈ 450).
 
    Leg 2 (simulation): the compiled-executor counter at n = 32,
    against the exact chain latency — the measured leg of Figure 5.
@@ -253,8 +254,8 @@ let linearizability_gates ~budget ~seed =
    fluctuation correction, which ties legs 1 and 3 together. *)
 let scaling_gates ~budget ~seed =
   let n1, n2 = budget.sparse_ns in
-  let w1 = Chains.Scu_chain.System.sparse_latency ~n:n1 () in
-  let w2 = Chains.Scu_chain.System.sparse_latency ~n:n2 () in
+  let rounds n = (Chains.Scu_chain.System.round_latency ~n).latency in
+  let w1 = rounds n1 and w2 = rounds n2 in
   let sqrtn n = sqrt (float_of_int n) in
   let sim_latency =
     let n = 32 in
@@ -270,6 +271,9 @@ let scaling_gates ~budget ~seed =
     rel_gate "sparse-vs-dense-latency"
       ~got:(Chains.Scu_chain.System.sparse_latency ~n:64 ())
       ~want:(Chains.Predict.exact_scan_validate_latency ~n:64)
+      ~tol:1e-9;
+    rel_gate "rounds-vs-sparse-latency" ~got:(rounds 256)
+      ~want:(Chains.Scu_chain.System.sparse_latency ~n:256 ())
       ~tol:1e-9;
     rel_gate
       (Printf.sprintf "sparse-at-scale (n=%d, %d states)" n2

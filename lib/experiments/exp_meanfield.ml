@@ -1,9 +1,10 @@
 (* Scaling the Θ(√n) latency law to n = 10⁶ by cross-validating three
    independent legs, each reaching where the others cannot:
 
-   - exact: the lumped (a, b) system chain — dense solve to n = 64,
-     CSR Gauss-Seidel ({!Chains.Scu_chain.System.sparse_latency})
-     beyond, up to 10⁵ states quick and 5·10⁵ full;
+   - exact: the lumped (a, b) system chain — dense solve to n = 64;
+     beyond, round by round ({!Chains.Scu_chain.System.round_latency})
+     without materializing the chain, to n = 450 (10⁵ states) quick
+     and n = 1000 (5·10⁵ states) full;
    - simulation: the compiled-executor counter at small/medium n;
    - mean field: the RK4 fluid limit ({!Chains.Meanfield}), O(√n) per
      evaluation, so n = 10⁶ is direct.
@@ -23,7 +24,7 @@ let notes =
 
 type leg = {
   n : int;
-  states : int option;  (** None when no chain is materialized. *)
+  states : int option;  (** Lumped-chain size; None without an exact leg. *)
   exact : float option;
   sim : float option;
   mf : float;
@@ -41,7 +42,8 @@ let plan { Plan.quick; seed } =
           if List.mem n dense_ns then
             (Some (Chains.Predict.exact_scan_validate_latency ~n), Some (states_of n))
           else if List.mem n sparse_ns then
-            (Some (Chains.Scu_chain.System.sparse_latency ~n ()), Some (states_of n))
+            ( Some (Chains.Scu_chain.System.round_latency ~n).latency,
+              Some (states_of n) )
           else (None, None)
         in
         let sim =

@@ -66,7 +66,7 @@ let default =
 let validate cfg =
   if cfg.kinds = [] then Error "need at least one structure"
   else if cfg.objects < 1 then Error "need at least one object per structure"
-  else if cfg.clients < 0 then Error "clients must be non-negative"
+  else if cfg.clients < 1 then Error "need at least one client"
   else if cfg.ops_per_client < 1 then Error "need at least one op per client"
   else if cfg.workers < 1 then Error "need at least one worker per shard"
   else if cfg.shards < 1 then Error "need at least one shard"

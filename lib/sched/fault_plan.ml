@@ -437,7 +437,7 @@ let parse_spec s =
             | Ok () -> go events spurious rates rest
             | Error msg -> Error (Printf.sprintf "bad --faults token %S: %s" tok msg))
   in
-  match tier_rates s with
+  match tier_rates (String.trim s) with
   | Some rates -> Ok { base = none; rates }
   | None -> go [] [] zero_rates tokens
 

@@ -169,10 +169,10 @@ val parse_spec : string -> (spec, string) result
     [crash@T:P], [restart@T:P], [stall@T:P+D], [casfail:P=R] (P may be
     [*]), and rate entries [crash~R], [recover~R], [stall~R:D],
     [casfail~R].  Rate entries must pass {!validate_rates}.  A spec
-    that is exactly one tier name ({!tier_rates}) is that tier's rates
-    with no explicit events; a tier name is not a token, so it does
-    not combine with others.  Errors are one-line messages naming the
-    bad token. *)
+    that is exactly one tier name ({!tier_rates}), blanks around it
+    aside as around every token, is that tier's rates with no explicit
+    events; a tier name is not a token, so it does not combine with
+    others.  Errors are one-line messages naming the bad token. *)
 
 val spec_is_none : spec -> bool
 

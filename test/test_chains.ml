@@ -373,7 +373,25 @@ let test_scu_sparse_latency_agrees () =
         (Printf.sprintf "sparse W = dense W at n=%d" n)
         (Chains.Scu_chain.System.system_latency ~n)
         (Chains.Scu_chain.System.sparse_latency ~n ()))
-    [ 1; 2; 4; 8; 16 ]
+    [ 1; 2; 4; 8; 16 ];
+  (* The round-by-round solve, with its certificate. *)
+  List.iter
+    (fun n ->
+      let dense = Chains.Scu_chain.System.system_latency ~n in
+      let r = Chains.Scu_chain.System.round_latency ~n in
+      Alcotest.(check bool)
+        (Printf.sprintf "round W = dense W at n=%d (dense %.17g, round %.17g)" n
+           dense r.latency)
+        true
+        (Float.abs (r.latency -. dense) <= 1e-11 *. dense);
+      Alcotest.(check bool)
+        (Printf.sprintf "certified at n=%d (%d sweeps, residual %.3g)" n
+           r.iterations r.residual)
+        true
+        (r.iterations >= 1 && r.residual <= 1e-14))
+    [ 1; 2; 3; 5; 8; 16; 64 ];
+  Alcotest.(check (float 0.)) "W(1) = 2 exactly" 2.
+    (Chains.Scu_chain.System.round_latency ~n:1).latency
 
 let test_scu_lump_reproduces_system () =
   (* Lemmas 4-6 executed: lumping the 3ⁿ−1-state individual chain

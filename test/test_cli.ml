@@ -618,6 +618,8 @@ let test_load_policy_flags_validated () =
       let rejected = check_usage_error dir in
       rejected "retries without deadline"
         "load --clients 10 --retries 2 --no-progress" "retries need a deadline";
+      rejected "no clients" "load --clients 0 --no-progress"
+        "need at least one client";
       rejected "bad fault token"
         "load --clients 10 --faults wibble --no-progress" "wibble";
       (* Bad rates: the first two used to escape as an uncaught

@@ -166,6 +166,7 @@ let test_engine_validate () =
       (Result.is_error (Load.Engine.validate cfg))
   in
   err { small_cfg with clients = -1 };
+  err { small_cfg with clients = 0 };
   err { small_cfg with kinds = [] };
   err { small_cfg with shards = 0 };
   err { small_cfg with workers = 0 };

@@ -393,6 +393,9 @@ let test_fault_plan_tier_names () =
       ("standard", FP.standard_rates);
       ("century", FP.century_rates);
       ("chaos", FP.chaos_rates);
+      (* Blanks around a tier name are trimmed, as around any token. *)
+      (" standard", FP.standard_rates);
+      ("standard ", FP.standard_rates);
     ];
   match FP.parse_spec "standard,crash@5:0" with
   | Ok _ -> Alcotest.fail "standard,crash@5:0 accepted"
